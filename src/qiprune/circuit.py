@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_matrix
+from .linalg import apply_matrix, as_ensemble
 
 ROT = "rot"
 CNOT = "cnot"
@@ -201,16 +201,9 @@ def prefix_states(circuit: Circuit, ensemble, position: int) -> np.ndarray:
     """
     if not 0 <= position <= len(circuit.gates):
         raise ValueError(f"invalid gate position {position} for {len(circuit.gates)} gates")
-    states = np.asarray(ensemble, dtype=complex)
-    squeeze = states.ndim == 1
-    if squeeze:
-        states = states[None, :]
-    if states.shape[-1] != circuit.dim:
-        raise ValueError(
-            f"ensemble dimension {states.shape[-1]} does not match circuit dim {circuit.dim}"
-        )
+    states = as_ensemble(ensemble, circuit.dim)
     out = apply_gate_sequence(states, circuit.gates[:position], circuit.n_qubits)
-    return out[0] if squeeze else out
+    return out[0] if np.ndim(ensemble) == 1 else out
 
 
 def expectation(circuit: Circuit, state: np.ndarray, observable: np.ndarray) -> float:

@@ -16,15 +16,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, fields, replace as dc_replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .circuit import block_centers, build_ansatz
 from .linalg import operator_norm
-from .pruner import certify, partition, prune
-from .qmetric import build_geometry, calibrate_epsilon
+from .pruner import MODES, certify, partition, prune
+from .qmetric import EPSILON_RULES, build_geometry, calibrate_epsilon
 from .tasks import (
     EncodedDataset,
     build_ensemble,
@@ -103,6 +104,16 @@ class RunConfig:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+        for name in ("depth", "M", "max_replace_per_group"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.epsilon_rule not in EPSILON_RULES:
+            raise ConfigError(
+                f"unknown epsilon rule {self.epsilon_rule!r} (expected one of {EPSILON_RULES})"
+            )
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r} (expected one of {MODES})")
         if self.n_qubits is None:
             object.__setattr__(self, "n_qubits", TASK_INFO[self.task]["n_qubits"])
 
@@ -378,37 +389,20 @@ def cmd_dataset(action: str, task: str, out_path: Path | None, config: RunConfig
     return 0
 
 
+#: RunConfig fields whose flag is not the field name in dashed form
+FLAG_NAMES = {"out_dir": "--out"}
+#: allowed values per field; RunConfig validates against the same constants
+FIELD_CHOICES = {"task": sorted(TASK_INFO), "epsilon_rule": EPSILON_RULES, "mode": MODES}
+
+
 def _load_config(args) -> RunConfig:
     doc: dict = {}
     if getattr(args, "config", None):
         doc.update(json.loads(Path(args.config).read_text()))
-    for key in (
-        "task",
-        "delta",
-        "sigma",
-        "depth",
-        "gamma",
-        "alpha",
-        "beta",
-        "M",
-        "seed",
-        "epsilon_rule",
-        "mode",
-        "max_replace_per_group",
-        "data_dir",
-        "out_dir",
-        "train_epochs",
-        "train_lr",
-        "train_batch",
-        "max_train_samples",
-        "vqe_iters",
-        "vqe_lr",
-        "tfim_j",
-        "tfim_g",
-    ):
-        val = getattr(args, key, None)
+    for f in fields(RunConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            doc[key] = val
+            doc[f.name] = val
     if "task" not in doc:
         raise ConfigError("a task is required (flag --task or config file)")
     try:
@@ -418,30 +412,16 @@ def _load_config(args) -> RunConfig:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field, typed by the field's annotation."""
     # --task may come from the config file instead; _load_config enforces presence
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override")
-    p.add_argument("--task", choices=sorted(TASK_INFO))
-    p.add_argument("--delta", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epsilon-rule", dest="epsilon_rule", choices=("half_delta_rule", "arcsin_rule"))
-    p.add_argument("--mode", choices=("reference_only", "pairwise_medoid"))
-    p.add_argument("--max-replace-per-group", dest="max_replace_per_group", type=int)
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--out", dest="out_dir")
-    p.add_argument("--train-epochs", dest="train_epochs", type=int)
-    p.add_argument("--train-lr", dest="train_lr", type=float)
-    p.add_argument("--train-batch", dest="train_batch", type=int)
-    p.add_argument("--max-train-samples", dest="max_train_samples", type=int)
-    p.add_argument("--vqe-iters", dest="vqe_iters", type=int)
-    p.add_argument("--vqe-lr", dest="vqe_lr", type=float)
-    p.add_argument("--tfim-j", dest="tfim_j", type=float)
-    p.add_argument("--tfim-g", dest="tfim_g", type=float)
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        hint = hints[f.name]
+        # `int | None` parses as int; every field type is int, float or str
+        kind = next((t for t in get_args(hint) if t is not type(None)), hint)
+        p.add_argument(flag, dest=f.name, type=kind, choices=FIELD_CHOICES.get(f.name))
 
 
 def build_parser() -> argparse.ArgumentParser:

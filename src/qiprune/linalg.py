@@ -25,6 +25,31 @@ def n_qubits_of(state: np.ndarray) -> int:
     return n
 
 
+def as_ensemble(states, dim: int | None = None) -> np.ndarray:
+    """Validated (M, dim) complex batch of task states; a 1-D state is a batch of one.
+
+    Raises ValueError unless the ensemble is nonempty, has the given state
+    dimension (any width when `dim` is None), and every state is finite and
+    unit-norm within ATOL: the drift bounds assume unit-norm pure states.
+    """
+    arr = np.asarray(states, dtype=complex)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ValueError("ensemble must be a nonempty list of state vectors")
+    if dim is not None and arr.shape[1] != dim:
+        raise ValueError(f"ensemble dimension {arr.shape[1]} does not match dim {dim}")
+    norms = np.linalg.norm(arr, axis=1)
+    # a NaN or inf entry makes the norm fail this comparison as well
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= ATOL))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"ensemble states must be finite and unit-norm; state {k} has norm {float(norms[k])}"
+        )
+    return arr
+
+
 def apply_matrix(states: np.ndarray, mat: np.ndarray, wires: list[int], n_qubits: int) -> np.ndarray:
     """Apply a 2^k x 2^k matrix on `wires` of every state in `states`.
 

@@ -11,14 +11,13 @@ reports the resulting gate-count reduction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .circuit import ROT, Circuit, Gate, compile_gate, apply_gate_sequence, rot_matrix, zyz_angles
-from .linalg import operator_norm, pure_trace_distance
-from .qmetric import QGeometry, Tolerance, d_q_per_state, drift_rhs
+from .circuit import ROT, Circuit, Gate, compile_gate, apply_gate_sequence, rot_matrix, run, zyz_angles
+from .linalg import as_ensemble, operator_norm, pure_trace_distance
+from .qmetric import QGeometry, Tolerance, d_q, d_q_per_state, drift_rhs
 
 MODES = ("reference_only", "pairwise_medoid")
 
@@ -158,12 +157,6 @@ def partition(circuit: Circuit) -> SubgroupPartition:
     return SubgroupPartition(groups=tuple(groups), reference=reference)
 
 
-def _group_prefix(circuit: Circuit, ensemble, group: tuple[int, ...]) -> np.ndarray:
-    from .circuit import prefix_states
-
-    return prefix_states(circuit, ensemble, min(group))
-
-
 def _medoid(
     circuit: Circuit,
     group: tuple[int, ...],
@@ -181,28 +174,12 @@ def _medoid(
     ids = sorted(group)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            d = float(np.mean(d_q_per_state(mats[a], mats[b], prefix, geo, wires=wires)))
+            d = d_q(mats[a], mats[b], prefix, geo, wires=wires)
             sums[a] += d
             sums[b] += d
             count += 1
     best = min(ids, key=lambda gid: (sums[gid], gid))
     return best, count
-
-
-def select_reference(
-    group: tuple[int, ...],
-    circuit: Circuit,
-    ensemble,
-    geo: QGeometry,
-) -> int:
-    """Medoid reference for one group, computed on the group's prefix ensemble."""
-    if not group:
-        raise ValueError("cannot select a reference from an empty group")
-    if len(group) == 1:
-        return group[0]
-    prefix = _group_prefix(circuit, ensemble, tuple(group))
-    best, _ = _medoid(circuit, tuple(group), prefix, geo)
-    return best
 
 
 def prune(
@@ -225,16 +202,12 @@ def prune(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (expected one of {MODES})")
-    _check_positional_ids(circuit)
-    states = np.asarray(ensemble, dtype=complex)
-    if states.ndim == 1:
-        states = states[None, :]
-    if states.shape[0] == 0:
-        raise ValueError("ensemble must be nonempty")
-    if states.shape[1] != circuit.dim:
+    if max_replace_per_group is not None and max_replace_per_group < 1:
         raise ValueError(
-            f"ensemble dimension {states.shape[1]} does not match circuit dim {circuit.dim}"
+            f"max_replace_per_group must be >= 1 when set, got {max_replace_per_group}"
         )
+    _check_positional_ids(circuit)
+    states = as_ensemble(ensemble, circuit.dim)
     if geo.dim != circuit.dim:
         raise ValueError(f"geometry dim {geo.dim} does not match circuit dim {circuit.dim}")
 
@@ -382,11 +355,7 @@ def certify(
     """
     if circuit.n_qubits != pruned.n_qubits or len(circuit.gates) != len(pruned.gates):
         raise ValueError("original and pruned circuits do not match the report")
-    states = np.asarray(ensemble, dtype=complex)
-    if states.ndim == 1:
-        states = states[None, :]
-
-    from .circuit import run
+    states = as_ensemble(ensemble, circuit.dim)
 
     out_a = run(circuit, states)
     out_b = run(pruned, states)
@@ -398,9 +367,8 @@ def certify(
     drifts = tuple(float(x) for x in np.abs(ev_a - ev_b))
 
     op = operator_norm(observable)
-    raw = 2.0 * report.L * math.sin(report.epsilon_q) / report.M_q
-    trace_bound = min(2.0, raw)
-    obs_bound = op * raw
+    trace_bound = min(2.0, report.rhs_raw)
+    obs_bound = op * report.rhs_raw
     max_td = max(tds)
     max_dr = max(drifts)
     passed = max_td <= trace_bound + CERT_TOL and max_dr <= obs_bound + CERT_TOL

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qalgebra
-from .linalg import apply_matrix, n_qubits_of
+from .linalg import apply_matrix, as_ensemble, n_qubits_of
 
 EPSILON_RULES = ("arcsin_rule", "half_delta_rule")
 
@@ -72,15 +72,6 @@ def q_norm_sq(psi: np.ndarray, geo: QGeometry) -> float:
     return float(np.sum(geo.g_diag * np.abs(psi) ** 2))
 
 
-def _ensemble_array(ensemble) -> np.ndarray:
-    states = np.asarray(ensemble, dtype=complex)
-    if states.ndim == 1:
-        states = states[None, :]
-    if states.ndim != 2 or states.shape[0] == 0:
-        raise ValueError("ensemble must be a nonempty list of state vectors")
-    return states
-
-
 def d_q_per_state(
     U: np.ndarray,
     V: np.ndarray,
@@ -93,11 +84,7 @@ def d_q_per_state(
     Identical operator arrays short-circuit to exact zeros (arccos(1) = 0),
     so sigma = 0 candidate pools report distance 0 bit-exactly.
     """
-    states = _ensemble_array(ensemble)
-    if states.shape[1] != geo.dim:
-        raise ValueError(
-            f"ensemble dimension {states.shape[1]} does not match geometry dim {geo.dim}"
-        )
+    states = as_ensemble(ensemble, geo.dim)
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
     if U.shape != V.shape:

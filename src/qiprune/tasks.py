@@ -27,7 +27,7 @@ from .circuit import (
     rot_matrix,
     run,
 )
-from .linalg import apply_matrix
+from .linalg import apply_matrix, as_ensemble
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -482,10 +482,9 @@ def build_ensemble(source, M: int = 50, seed: int = 0) -> TaskEnsemble:
         pool = source.snapshots
         src = "vqe_trajectory"
     else:
-        pool = np.asarray(source, dtype=complex)
+        pool = source
         src = "custom"
-    if pool.ndim != 2 or pool.shape[0] == 0:
-        raise ValueError("ensemble source is empty")
+    pool = as_ensemble(pool)
     with_replacement = pool.shape[0] < M
     rng = np.random.default_rng(seed)
     idx = rng.choice(pool.shape[0], size=M, replace=with_replacement)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qiprune.cli import (
     CSV_COLUMNS,
     ConfigError,
     RunConfig,
+    build_parser,
     main,
 )
 
@@ -56,6 +58,32 @@ class TestRunConfig:
             RunConfig(task="bas", sigma=-1.0)
         with pytest.raises(ConfigError, match="delta"):
             RunConfig(task="bas", delta=0.0)
+
+    @pytest.mark.parametrize(
+        "knob,match",
+        [
+            ({"mode": "nope"}, "mode"),
+            ({"epsilon_rule": "nope"}, "epsilon rule"),
+            ({"max_replace_per_group": -2}, "max_replace_per_group"),
+            ({"max_replace_per_group": 0}, "max_replace_per_group"),
+            ({"depth": 0}, "depth"),
+            ({"M": 0}, "M must"),
+        ],
+        ids=["mode", "epsilon_rule", "cap_negative", "cap_zero", "depth", "M"],
+    )
+    def test_out_of_range_knobs_rejected(self, knob, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig(task="bas", **knob)
+
+    def test_hash_pinned(self):
+        # every report records config_hash; it must not move when RunConfig code does
+        assert RunConfig(task="bas").hash() == "b3bd703dd2ed9aaf"
+        assert RunConfig(task="mnist49").hash() == "0b9b0872dcdc34b1"
+
+    @pytest.mark.parametrize("command", ["prune", "sweep"])
+    def test_one_flag_per_field(self, command):
+        dests = vars(build_parser().parse_args([command]))
+        assert {f.name for f in fields(RunConfig)} <= set(dests)
 
 
 class TestPruneCommand:
@@ -139,6 +167,12 @@ class TestPruneCommand:
     def test_missing_task_config_error(self, capsys):
         assert main(["prune"]) == 2
         assert "task is required" in capsys.readouterr().err
+
+    def test_negative_cap_is_usage_error(self, tmp_path, capsys):
+        args = ["prune", "--task", "bas", "--max-replace-per-group", "-2", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "max_replace_per_group" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_data_dir_for_idx_task(self, capsys):
         assert main(["prune", "--task", "mnist49"]) == 2

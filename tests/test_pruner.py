@@ -12,7 +12,6 @@ from qiprune.pruner import (
     merge_adjacent_duplicates,
     partition,
     prune,
-    select_reference,
 )
 from qiprune.qmetric import Tolerance, build_geometry, calibrate_epsilon, d_q
 from qiprune.tasks import z0_observable
@@ -74,10 +73,13 @@ def _single_block_circuit(angle_sets):
 
 
 class TestSelectReference:
-    def test_singleton(self):
-        circ = _single_block_circuit([(0.1, 0.2, 0.3)])
-        geo = build_geometry(1, 1.0)
-        assert select_reference((0,), circ, ensemble(1, 3, 0), geo) == 0
+    """Medoid reference choice through prune(mode="pairwise_medoid"); a
+    tolerance of pi/2 bounds every d_q, so all non-medoid members are replaced."""
+
+    @staticmethod
+    def _prune_wide(circ, ens, geo):
+        wide = Tolerance(delta=0.0, epsilon_q=math.pi / 2, rule="half_delta_rule")
+        return prune(circ, partition(circ), ens, geo, wide, mode="pairwise_medoid")
 
     def test_duplicate_pair_wins(self):
         # two identical gates among three scattered ones: the duplicates'
@@ -94,18 +96,16 @@ class TestSelectReference:
                 if j != i
             )
         expected = min(sums, key=lambda k: (sums[k], k))
-        assert expected in (0, 1)
-        assert select_reference(tuple(range(5)), circ, ens, geo) == expected == 0
+        assert expected == 0
+        pruned, report = self._prune_wide(circ, ens, geo)
+        assert all(g.angles == angle_sets[expected] for g in pruned.gates)
+        assert report.replaced == (1, 2, 3, 4)
 
     def test_all_identical_tie_break(self):
         circ = _single_block_circuit([(0.5, 0.5, 0.5)] * 5)
-        geo = build_geometry(1, 1.0)
-        assert select_reference(tuple(range(5)), circ, ensemble(1, 4, 2), geo) == 0
-
-    def test_empty_group(self):
-        circ = _single_block_circuit([(0.1, 0.2, 0.3)])
-        with pytest.raises(ValueError, match="empty"):
-            select_reference((), circ, ensemble(1, 2, 3), build_geometry(1, 1.0))
+        pruned, report = self._prune_wide(circ, ensemble(1, 4, 2), build_geometry(1, 1.0))
+        assert all(g.angles == (0.5, 0.5, 0.5) for g in pruned.gates)
+        assert report.replaced == (1, 2, 3, 4)
 
 
 class TestPrune:
@@ -190,6 +190,14 @@ class TestPrune:
         geo = build_geometry(2, 1.0)
         with pytest.raises(ValueError, match="mode"):
             prune(circ, partition(circ), ensemble(2, 3, 11), geo, calibrate_epsilon(0.01, geo), mode="boom")
+
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_cap_validation(self, cap):
+        circ = build_ansatz(2, 1, sigma=0.0, seed=11)
+        geo = build_geometry(2, 1.0)
+        tol = calibrate_epsilon(0.01, geo)
+        with pytest.raises(ValueError, match="max_replace_per_group"):
+            prune(circ, partition(circ), ensemble(2, 3, 11), geo, tol, max_replace_per_group=cap)
 
     def test_dimension_validation(self):
         circ = build_ansatz(2, 1, sigma=0.01, seed=12)
