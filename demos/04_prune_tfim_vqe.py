@@ -32,7 +32,7 @@ ground = float(np.min(np.linalg.eigvalsh(spec.hamiltonian)))
 print(f"TFIM open chain, n={N}, J=1, g=1; exact ground energy {ground:.4f}")
 
 circ0 = build_ansatz(N, DEPTH, sigma=0.0, seed=SEED)
-vqe = run_vqe(spec, circ0, iters=25, lr=0.1, seed=SEED)
+vqe = run_vqe(spec, circ0, iters=25, lr=0.1)
 print(f"VQE: 25 parameter-shift iterations, energy {vqe.energies[0]:.4f} -> {vqe.energies[-1]:.4f}")
 print(f"trajectory snapshots recorded: {vqe.snapshots.shape[0]}")
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -25,6 +25,7 @@ import numpy as np
 from .circuit import block_centers, build_ansatz
 from .linalg import operator_norm
 from .pruner import MODES, certify, partition, prune
+from .qalgebra import DeformationParams
 from .qmetric import EPSILON_RULES, build_geometry, calibrate_epsilon
 from .tasks import (
     EncodedDataset,
@@ -65,6 +66,7 @@ TASK_INFO = {
     "bas": {"n_qubits": 4, "kind": "classification"},
     "tfim": {"n_qubits": 4, "kind": "vqe"},
 }
+CLASSIFICATION_TASKS = tuple(sorted(t for t, info in TASK_INFO.items() if info["kind"] == "classification"))
 
 
 class ConfigError(Exception):
@@ -98,6 +100,15 @@ class RunConfig:
     tfim_g: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, (kind, optional) in FIELD_KINDS.items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if kind is float and type(value) is int:
+                value = float(value)
+                object.__setattr__(self, name, value)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.task not in TASK_INFO:
             raise ConfigError(f"unknown task {self.task!r} (expected one of {sorted(TASK_INFO)})")
         if self.sigma < 0.0:
@@ -116,14 +127,19 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r} (expected one of {MODES})")
         if self.n_qubits is None:
             object.__setattr__(self, "n_qubits", TASK_INFO[self.task]["n_qubits"])
+        try:
+            deformation = DeformationParams.from_noise(self.gamma, self.alpha, self.beta)
+        except ValueError as exc:
+            raise ConfigError(f"deformation knobs (lambda = 1 - gamma * alpha): {exc}") from exc
+        object.__setattr__(self, "_deformation", deformation)
 
     @property
     def lam(self) -> float:
-        return 1.0 - self.gamma * self.alpha
+        return self._deformation.lam
 
     @property
     def q(self) -> float:
-        return math.exp(self.beta * (1.0 - self.lam))
+        return self._deformation.q
 
     def hash(self) -> str:
         """Hash of the run semantics; environment paths are excluded."""
@@ -131,6 +147,16 @@ class RunConfig:
         doc.pop("data_dir")
         doc.pop("out_dir")
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _field_kind(hint) -> tuple[type, bool]:
+    """(value type, None allowed) of a RunConfig annotation such as `int | None`."""
+    args = get_args(hint)
+    return next((t for t in args if t is not type(None)), hint), type(None) in args
+
+
+#: per RunConfig field: its value type (int, float or str) and whether None is allowed
+FIELD_KINDS = {name: _field_kind(hint) for name, hint in get_type_hints(RunConfig).items()}
 
 
 @dataclass
@@ -161,17 +187,21 @@ def _resolve_idx_paths(config: RunConfig) -> tuple[Path, Path]:
     return images, labels
 
 
+def load_dataset(config: RunConfig) -> EncodedDataset:
+    """The classification task's dataset: generated for bas, read from IDX files otherwise."""
+    if config.task == "bas":
+        return generate_bas(4)
+    images, labels = _resolve_idx_paths(config)
+    return load_idx(images, labels, TASK_INFO[config.task]["keep_labels"], config.n_qubits, name=config.task)
+
+
 def prepare_task(config: RunConfig) -> TaskContext:
     """Load or generate the dataset, train the baseline centers, build the ensemble."""
     info = TASK_INFO[config.task]
     n = config.n_qubits
     base = build_ansatz(n, config.depth, centers=None, sigma=0.0, seed=config.seed)
     if info["kind"] == "classification":
-        if config.task == "bas":
-            data = generate_bas(4)
-        else:
-            images, labels = _resolve_idx_paths(config)
-            data = load_idx(images, labels, info["keep_labels"], n, name=config.task)
+        data = load_dataset(config)
         trained = train_classifier(
             base,
             data,
@@ -192,7 +222,7 @@ def prepare_task(config: RunConfig) -> TaskContext:
             metric_name="accuracy_pct",
         )
     spec = build_tfim(n, j=config.tfim_j, g=config.tfim_g)
-    vqe = run_vqe(spec, base, iters=config.vqe_iters, lr=config.vqe_lr, seed=config.seed)
+    vqe = run_vqe(spec, base, iters=config.vqe_iters, lr=config.vqe_lr)
     ensemble = build_ensemble(vqe, M=config.M, seed=config.seed)
     return TaskContext(
         config=config,
@@ -237,18 +267,9 @@ def run_grid_point(ctx: TaskContext, delta: float, sigma: float) -> dict:
     report.config_hash = config.hash()
     cert = certify(report, baseline, pruned, ctx.ensemble_states, ctx.observable)
 
-    row = {
-        "dataset": config.task,
-        "delta": delta,
-        "sigma": sigma,
-        "metric_base": m_base,
-        "metric_pruned": m_pruned,
-        "metric_drop": m_base - m_pruned,
-        "replace_pct": report.replace_pct,
-        "rhs_raw": report.rhs_raw,
-        "rhs_clip": report.rhs_clip,
-        "dq_max_repl": report.dq_max_replaced,
-    }
+    doc = report.to_json_dict()
+    row = {"dataset": config.task, "delta": delta, "sigma": sigma}
+    row.update((c, doc[c]) for c in CSV_COLUMNS[3:])
     return {"row": row, "report": report, "certificate": cert, "config": config}
 
 
@@ -365,14 +386,8 @@ def cmd_report(csv_paths: list[Path], out_dir: Path) -> int:
     return 0
 
 
-def cmd_dataset(action: str, task: str, out_path: Path | None, config: RunConfig) -> int:
-    if task == "tfim":
-        raise ConfigError("the dataset command covers classification tasks only")
-    if task == "bas":
-        data = generate_bas(4)
-    else:
-        images, labels = _resolve_idx_paths(dc_replace(config, task=task))
-        data = load_idx(images, labels, TASK_INFO[task]["keep_labels"], TASK_INFO[task]["n_qubits"], name=task)
+def cmd_dataset(action: str, out_path: Path | None, config: RunConfig) -> int:
+    data = load_dataset(config)
     if action == "generate":
         if out_path is None:
             raise ConfigError("dataset generate needs --out")
@@ -399,10 +414,10 @@ def _load_config(args) -> RunConfig:
     doc: dict = {}
     if getattr(args, "config", None):
         doc.update(json.loads(Path(args.config).read_text()))
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
+    for name in FIELD_KINDS:
+        val = getattr(args, name, None)
         if val is not None:
-            doc[f.name] = val
+            doc[name] = val
     if "task" not in doc:
         raise ConfigError("a task is required (flag --task or config file)")
     try:
@@ -415,13 +430,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """One flag per RunConfig field, typed by the field's annotation."""
     # --task may come from the config file instead; _load_config enforces presence
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override")
-    hints = get_type_hints(RunConfig)
-    for f in fields(RunConfig):
-        flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-        hint = hints[f.name]
-        # `int | None` parses as int; every field type is int, float or str
-        kind = next((t for t in get_args(hint) if t is not type(None)), hint)
-        p.add_argument(flag, dest=f.name, type=kind, choices=FIELD_CHOICES.get(f.name))
+    for name, (kind, _) in FIELD_KINDS.items():
+        flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        p.add_argument(flag, dest=name, type=kind, choices=FIELD_CHOICES.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dataset = sub.add_parser("dataset", help="generate or inspect encoded datasets")
     p_dataset.add_argument("action", choices=("generate", "inspect"))
-    p_dataset.add_argument("--task", choices=("bas", "mnist49", "fashion_sb"), required=True)
+    p_dataset.add_argument("--task", choices=CLASSIFICATION_TASKS, required=True)
     p_dataset.add_argument("--out", dest="out_path", default=None)
     p_dataset.add_argument("--data-dir", dest="data_dir")
 
@@ -472,7 +483,7 @@ def main(argv=None) -> int:
             return cmd_report([Path(p) for p in args.csvs], Path(args.out_dir))
         if args.command == "dataset":
             cfg = RunConfig(task=args.task, data_dir=args.data_dir)
-            return cmd_dataset(args.action, args.task, Path(args.out_path) if args.out_path else None, cfg)
+            return cmd_dataset(args.action, Path(args.out_path) if args.out_path else None, cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

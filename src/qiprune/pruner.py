@@ -11,7 +11,7 @@ reports the resulting gate-count reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -58,33 +58,13 @@ class PruneReport:
     config_hash: str | None = None
 
     def to_json_dict(self) -> dict:
-        """Table-semantics record plus provenance and structural detail."""
-        return {
-            "metric_name": self.metric_name,
-            "metric_base": self.metric_base,
-            "metric_pruned": self.metric_pruned,
-            "metric_drop": self.metric_drop,
-            "replace_pct": self.replace_pct,
-            "rhs_raw": self.rhs_raw,
-            "rhs_clip": self.rhs_clip,
-            "dq_max_repl": self.dq_max_replaced,
-            "dq_per_state_max_repl": self.dq_per_state_max_replaced,
-            "L": self.L,
-            "n_rot": self.n_rot,
-            "epsilon_q": self.epsilon_q,
-            "M_q": self.M_q,
-            "violations": self.violations,
-            "comparisons": self.comparisons,
-            "selection_comparisons": self.selection_comparisons,
-            "mode": self.mode,
-            "merged_gate_count": self.merged_gate_count,
-            "merged_removed": self.merged_removed,
-            "kept": list(self.kept),
-            "replaced": list(self.replaced),
-            "dq_values": {str(k): v for k, v in sorted(self.dq_values.items())},
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
+        """Every field, with the table's short names for the two replaced-gate
+        maxima and str keys for dq_values."""
+        doc = asdict(self)
+        doc["dq_max_repl"] = doc.pop("dq_max_replaced")
+        doc["dq_per_state_max_repl"] = doc.pop("dq_per_state_max_replaced")
+        doc["dq_values"] = {str(k): v for k, v in sorted(self.dq_values.items())}
+        return doc
 
 
 @dataclass(frozen=True)
@@ -105,18 +85,10 @@ class CertificateRecord:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_trace_distance": self.max_trace_distance,
-            "trace_bound": self.trace_bound,
-            "slack_trace": self.slack_trace,
-            "max_obs_drift": self.max_obs_drift,
-            "obs_bound": self.obs_bound,
-            "slack_obs": self.slack_obs,
-            "op_norm": self.op_norm,
-            "L": self.L,
-            "epsilon_q": self.epsilon_q,
-            "passed": self.passed,
-        }
+        """Every field except the per-state tuples."""
+        doc = asdict(self)
+        del doc["trace_distances"], doc["obs_drifts"]
+        return doc
 
 
 #: slack added to the analytic side of certificate comparisons (float noise)

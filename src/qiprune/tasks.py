@@ -24,10 +24,11 @@ from .circuit import (
     block_centers,
     build_ansatz,
     compile_gate,
+    expectation,
     rot_matrix,
     run,
 )
-from .linalg import apply_matrix, as_ensemble
+from .linalg import apply_matrix, as_ensemble, n_qubits_of, operator_norm
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -244,10 +245,21 @@ def z0_observable(n_qubits: int) -> np.ndarray:
     return np.diag(z0_diagonal(n_qubits)).astype(complex)
 
 
+def z0_expectation(states: np.ndarray) -> np.ndarray:
+    """<Z0> of each state in a batch (the last axis is the state)."""
+    return np.sum(z0_diagonal(n_qubits_of(states)) * np.abs(states) ** 2, axis=-1)
+
+
+def zero_state(n_qubits: int) -> np.ndarray:
+    """The computational basis state |0...0>."""
+    state = np.zeros(1 << n_qubits, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
 def margins(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     """<Z0> per sample for a batch of input states."""
-    out = run(circuit, states)
-    return np.sum(z0_diagonal(circuit.n_qubits) * np.abs(out) ** 2, axis=-1)
+    return z0_expectation(run(circuit, states))
 
 
 def evaluate_classifier(circuit: Circuit, data: EncodedDataset, split: str = "validation") -> float:
@@ -271,44 +283,34 @@ def _expectations_and_grads(circuit: Circuit, states: np.ndarray, expect_fn):
     """Per-sample expectations and parameter-shift gradients for every Rot angle.
 
     Each elementary ZYZ rotation has half-integer generator spectrum, so the
-    exact derivative is (E(theta + pi/2) - E(theta - pi/2)) / 2. Shifted
-    evaluations reuse layer-checkpointed prefixes and run all six variants of
-    a gate through the suffix as one batch.
+    exact derivative is (E(theta + pi/2) - E(theta - pi/2)) / 2. One forward
+    walk over the gates: at each Rot gate the six shifted variants branch off
+    the current state and run through the suffix as one batch.
 
     Returns (values (B,), grads (n_rot, 3, B), rot_positions, final_states).
     """
     gates = circuit.gates
     n = circuit.n_qubits
-    layer_start: dict[int, int] = {}
-    for pos, g in enumerate(gates):
-        layer_start.setdefault(g.layer, pos)
-
-    ckpt: dict[int, np.ndarray] = {}
-    cur = states
-    for pos, g in enumerate(gates):
-        if layer_start[g.layer] == pos:
-            ckpt[g.layer] = cur
-        cur = apply_matrix(cur, compile_gate(g), g.wires(), n)
-    values = expect_fn(cur)
-
     rot_positions = [pos for pos, g in enumerate(gates) if g.kind == ROT]
-    grads = np.zeros((len(rot_positions), 3) + values.shape)
-    for idx, pos in enumerate(rot_positions):
-        g = gates[pos]
-        prefix = apply_gate_sequence(ckpt[g.layer], gates[layer_start[g.layer] : pos], n)
-        variants = np.empty((6,) + prefix.shape, dtype=complex)
-        k = 0
-        for a in range(3):
-            for sign in (1.0, -1.0):
-                shifted = list(g.angles)
-                shifted[a] += sign * math.pi / 2.0
-                variants[k] = apply_matrix(prefix, rot_matrix(*shifted), [g.qubit], n)
-                k += 1
-        variants = apply_gate_sequence(variants, gates[pos + 1 :], n)
-        ev = expect_fn(variants)
-        for a in range(3):
-            grads[idx, a] = 0.5 * (ev[2 * a] - ev[2 * a + 1])
-    return values, grads, rot_positions, cur
+    grads = np.zeros((len(rot_positions), 3) + states.shape[:-1])
+    cur = states
+    idx = 0
+    for pos, g in enumerate(gates):
+        if g.kind == ROT:
+            variants = np.empty((6,) + cur.shape, dtype=complex)
+            k = 0
+            for a in range(3):
+                for sign in (1.0, -1.0):
+                    shifted = list(g.angles)
+                    shifted[a] += sign * math.pi / 2.0
+                    variants[k] = apply_matrix(cur, rot_matrix(*shifted), [g.qubit], n)
+                    k += 1
+            ev = expect_fn(apply_gate_sequence(variants, gates[pos + 1 :], n))
+            for a in range(3):
+                grads[idx, a] = 0.5 * (ev[2 * a] - ev[2 * a + 1])
+            idx += 1
+        cur = apply_matrix(cur, compile_gate(g), g.wires(), n)
+    return expect_fn(cur), grads, rot_positions, cur
 
 
 def _center_gradient(circuit: Circuit, rot_positions, grads, coeff: np.ndarray) -> np.ndarray:
@@ -346,18 +348,13 @@ def train_classifier(
         idx = np.sort(rng.choice(idx, size=max_train_samples, replace=False))
     states = data.states[idx]
     labels = data.labels[idx].astype(float)
-    zdiag = z0_diagonal(n)
-
-    def expect(phi):
-        return np.sum(zdiag * np.abs(phi) ** 2, axis=-1)
-
     bs = batch_size or idx.size
     for _ in range(epochs):
         order = rng.permutation(idx.size)
         for start in range(0, idx.size, bs):
             sel = order[start : start + bs]
             c = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
-            m, grads, rot_pos, _ = _expectations_and_grads(c, states[sel], expect)
+            m, grads, rot_pos, _ = _expectations_and_grads(c, states[sel], z0_expectation)
             if not np.all(np.isfinite(m)):
                 raise RuntimeError("training diverged: non-finite margins")
             y = labels[sel]
@@ -395,7 +392,6 @@ def run_vqe(
     circuit: Circuit,
     iters: int = 40,
     lr: float = 0.1,
-    seed: int = 0,
     snapshots: int = 50,
     max_backtracks: int = 10,
 ) -> VqeResult:
@@ -412,19 +408,16 @@ def run_vqe(
         raise ValueError(
             f"hamiltonian is on {spec.n_qubits} qubits, circuit on {circuit.n_qubits}"
         )
-    del seed  # gradient descent here is deterministic; kept for config parity
     n, depth = circuit.n_qubits, circuit.depth
     centers = block_centers(circuit).copy()
     ham = spec.hamiltonian
-    state0 = np.zeros((1, 1 << n), dtype=complex)
-    state0[0, 0] = 1.0
+    state0 = zero_state(n)
 
     def expect(phi):
         return np.real(np.einsum("...i,ij,...j->...", np.conj(phi), ham, phi))
 
     def energy_at(c: np.ndarray) -> float:
-        out = run(build_ansatz(n, depth, centers=c, sigma=0.0, seed=0), state0[0])
-        return float(np.real(np.vdot(out, ham @ out)))
+        return vqe_energy(build_ansatz(n, depth, centers=c, sigma=0.0, seed=0), spec)
 
     snap_iters = set(
         int(t) for t in np.linspace(0, max(iters - 1, 0), num=min(snapshots, max(iters, 1))).round()
@@ -433,7 +426,7 @@ def run_vqe(
     snaps: list[np.ndarray] = []
     for t in range(iters):
         c = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
-        e, grads, rot_pos, final = _expectations_and_grads(c, state0, expect)
+        e, grads, rot_pos, final = _expectations_and_grads(c, state0[None], expect)
         if not np.isfinite(e[0]):
             raise RuntimeError("VQE diverged: non-finite energy")
         energies.append(float(e[0]))
@@ -449,22 +442,16 @@ def run_vqe(
             trial = centers - step * direction
         centers = trial
     trained = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
-    final_state = run(trained, state0[0])
-    energies.append(float(np.real(np.vdot(final_state, ham @ final_state))))
+    energies.append(vqe_energy(trained, spec))
     if not snaps:
-        snaps.append(final_state)
+        snaps.append(run(trained, state0))
     return VqeResult(energies=tuple(energies), snapshots=np.array(snaps), trained=trained)
 
 
 def vqe_energy(circuit: Circuit, spec: TfimSpec, normalized: bool = False) -> float:
     """<H> of the circuit output on |0...0>; optionally divided by ||H||_op."""
-    state0 = np.zeros(circuit.dim, dtype=complex)
-    state0[0] = 1.0
-    out = run(circuit, state0)
-    e = float(np.real(np.vdot(out, spec.hamiltonian @ out)))
+    e = expectation(circuit, zero_state(circuit.n_qubits), spec.hamiltonian)
     if normalized:
-        from .linalg import operator_norm
-
         e /= operator_norm(spec.hamiltonian)
     return e
 

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import qiprune.cli as cli
 import qiprune.verify as verify
 from qiprune.cli import (
     CSV_COLUMNS,
@@ -15,6 +16,7 @@ from qiprune.cli import (
     build_parser,
     main,
 )
+from qiprune.qalgebra import DeformationParams
 
 
 def read_rows(path):
@@ -43,6 +45,8 @@ class TestRunConfig:
         cfg = RunConfig(task="bas")
         assert cfg.lam == pytest.approx(0.97)
         assert cfg.q == pytest.approx(math.exp(0.03))
+        params = DeformationParams.from_noise(0.05, 0.6, 1.0)
+        assert (cfg.lam, cfg.q) == (params.lam, params.q)
 
     def test_hash_excludes_paths(self):
         a = RunConfig(task="bas", out_dir="x")
@@ -74,6 +78,29 @@ class TestRunConfig:
     def test_out_of_range_knobs_rejected(self, knob, match):
         with pytest.raises(ConfigError, match=match):
             RunConfig(task="bas", **knob)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"M": 2.5}, {"M": True}, {"depth": None}, {"task": 3}, {"sigma": "0.1"}],
+        ids=["int_gets_float", "int_gets_bool", "int_gets_none", "str_gets_int", "float_gets_str"],
+    )
+    def test_wrong_value_types_rejected(self, knob):
+        with pytest.raises(ConfigError, match=f"{next(iter(knob))} must be"):
+            RunConfig(**{"task": "bas", **knob})
+
+    def test_int_for_float_field_hashes_like_the_float(self):
+        cfg = RunConfig(task="bas", sigma=0)
+        assert type(cfg.sigma) is float
+        assert cfg.hash() == RunConfig(task="bas", sigma=0.0).hash()
+
+    @pytest.mark.parametrize("flags", [["--gamma", "5"], ["--beta", "-1"]], ids=["lambda_negative", "beta_negative"])
+    def test_bad_deformation_is_usage_error_before_training(self, flags, monkeypatch, capsys):
+        def no_training(config):
+            raise AssertionError("a rejected config reached prepare_task")
+
+        monkeypatch.setattr(cli, "prepare_task", no_training)
+        assert main(["prune", "--task", "bas", *flags]) == 2
+        assert "deformation" in capsys.readouterr().err
 
     def test_hash_pinned(self):
         # every report records config_hash; it must not move when RunConfig code does
@@ -177,6 +204,20 @@ class TestPruneCommand:
     def test_missing_data_dir_for_idx_task(self, capsys):
         assert main(["prune", "--task", "mnist49"]) == 2
         assert "data" in capsys.readouterr().err
+
+    def test_config_file_wrong_type_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "bas", "depth": 1, "train_epochs": 0, "M": 2.5}))
+        assert main(["prune", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "M must be int" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_row_matches_report_json(self, tmp_path):
+        args = ["prune", "--task", "bas", "--depth", "2", "--train-epochs", "0", "--out", str(tmp_path)]
+        assert main(args) == 0
+        row = read_rows(tmp_path / "row_bas_d0.01_s0.001_seed0.csv")[0]
+        report = json.loads((tmp_path / "report_bas_d0.01_s0.001_seed0.json").read_text())["report"]
+        assert {c: float(row[c]) for c in CSV_COLUMNS[3:]} == {c: report[c] for c in CSV_COLUMNS[3:]}
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -290,6 +331,11 @@ class TestDatasetCommand:
         write_synthetic_idx_tree(tmp_path, "mnist", (4, 9))
         assert main(["dataset", "inspect", "--task", "mnist49", "--data-dir", str(tmp_path)]) == 0
         assert "40 samples" in capsys.readouterr().out
+
+    def test_vqe_task_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["dataset", "inspect", "--task", "tfim"])
+        assert exc.value.code == 2
 
     def test_generate_requires_out(self, capsys):
         assert main(["dataset", "generate", "--task", "bas"]) == 2

@@ -345,3 +345,30 @@ def test_report_json_dict_round_trips_through_json():
     assert doc["L"] == report.L
     assert doc["replace_pct"] == report.replace_pct
     assert set(doc) >= {"metric_base", "metric_pruned", "metric_drop", "replace_pct", "rhs_raw", "rhs_clip", "dq_max_repl"}
+
+
+REPORT_KEYS = {
+    "kept", "replaced", "L", "replace_pct", "dq_values", "dq_max_repl",
+    "dq_per_state_max_repl", "epsilon_q", "M_q", "rhs_raw", "rhs_clip", "comparisons",
+    "selection_comparisons", "violations", "n_rot", "mode", "merged_gate_count",
+    "merged_removed", "metric_name", "metric_base", "metric_pruned", "metric_drop", "seed",
+    "config_hash",
+}
+CERTIFICATE_KEYS = {
+    "trace_bound", "obs_bound", "max_trace_distance", "max_obs_drift", "slack_trace",
+    "slack_obs", "op_norm", "L", "epsilon_q", "passed",
+}
+
+
+def test_record_schemas_pinned():
+    # report files are byte-compared across runs; a renamed or added field must show here
+    circ = build_ansatz(2, 1, sigma=0.01, seed=22)
+    geo = build_geometry(2, 1.0)
+    ens = ensemble(2, 4, 22)
+    pruned, report = prune(circ, partition(circ), ens, geo, calibrate_epsilon(0.01, geo))
+    doc = report.to_json_dict()
+    assert len(REPORT_KEYS) == 24 and set(doc) == REPORT_KEYS
+    assert doc["dq_values"] and all(isinstance(k, str) for k in doc["dq_values"])
+    assert doc["dq_max_repl"] == report.dq_max_replaced
+    cert = certify(report, circ, pruned, ens, z0_observable(2))
+    assert len(CERTIFICATE_KEYS) == 10 and set(cert.to_json_dict()) == CERTIFICATE_KEYS

@@ -24,7 +24,9 @@ from qiprune.tasks import (
     train_classifier,
     vqe_energy,
     z0_diagonal,
+    z0_expectation,
 )
+from oracles import checkpointed_expectations_and_grads
 
 
 def write_idx_files(tmp_path, images: np.ndarray, labels: np.ndarray):
@@ -269,6 +271,19 @@ class TestParameterShift:
                     shifted.append(expect(run(Circuit(2, 2, tuple(gates)), states)))
                 fd = (shifted[0] - shifted[1]) / (2 * h)
                 np.testing.assert_allclose(grads[idx, a], fd, atol=1e-6)
+
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_forward_walk_bitwise_equals_checkpointed_reference(self, n, depth, batch):
+        circ = build_ansatz(n, depth, sigma=0.2, seed=10 * n + depth)
+        rng = np.random.default_rng([n, depth, batch])
+        states = np.array([random_state(n, rng) for _ in range(batch)])
+        got = _expectations_and_grads(circ, states, z0_expectation)
+        want = checkpointed_expectations_and_grads(circ, states, z0_expectation)
+        for name, g, w in zip(("values", "grads", "rot_positions", "final"), got, want):
+            assert np.array_equal(g, w), name
 
 
 class TestTrainClassifier:
