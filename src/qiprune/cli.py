@@ -109,6 +109,8 @@ class RunConfig:
                 object.__setattr__(self, name, value)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.task not in TASK_INFO:
             raise ConfigError(f"unknown task {self.task!r} (expected one of {sorted(TASK_INFO)})")
         if self.sigma < 0.0:

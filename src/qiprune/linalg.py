@@ -8,6 +8,7 @@ a gate is a dense unitary ndarray of size 2^k x 2^k.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -57,6 +58,11 @@ def apply_matrix(states: np.ndarray, mat: np.ndarray, wires: list[int], n_qubits
     length 2**n_qubits. wires[0] is the most-significant bit of the matrix
     basis index. Works for non-unitary matrices as well (used by the
     deformed-algebra checks).
+
+    The path is chosen from the matrix: a 2x2 multiplies the wire's two
+    half-slices as one (2, N) slab, with no moveaxis; a 0/1 permutation
+    matrix (CNOT, SWAP) is a gather over a cached basis-index permutation,
+    with no arithmetic; any other matrix goes through moveaxis + matmul.
     """
     k = len(wires)
     if mat.shape != (1 << k, 1 << k):
@@ -70,6 +76,17 @@ def apply_matrix(states: np.ndarray, mat: np.ndarray, wires: list[int], n_qubits
             f"state length {states.shape[-1]} does not match {n_qubits} qubits"
         )
 
+    if k == 1:
+        return _apply_one_qubit(states, mat, wires[0], n_qubits)
+    local = _local_permutation(mat)
+    if local is not None:
+        return states[..., _basis_permutation(local, tuple(wires), n_qubits)]
+    return _apply_dense(states, mat, wires, n_qubits)
+
+
+def _apply_dense(states: np.ndarray, mat: np.ndarray, wires: list[int], n_qubits: int) -> np.ndarray:
+    """Generic path: move `wires` to the last axes and multiply by mat^T."""
+    k = len(wires)
     lead = states.shape[:-1]
     nb = len(lead)
     arr = states.reshape(lead + (2,) * n_qubits)
@@ -82,6 +99,34 @@ def apply_matrix(states: np.ndarray, mat: np.ndarray, wires: list[int], n_qubits
     arr = arr.reshape(kept + (2,) * k)
     arr = np.moveaxis(arr, dst, src)
     return arr.reshape(lead + (1 << n_qubits,))
+
+
+def _apply_one_qubit(states: np.ndarray, mat: np.ndarray, wire: int, n_qubits: int) -> np.ndarray:
+    """2x2 on one wire: the wire's two half-slices, stacked as a (2, N) slab, times `mat`."""
+    x = states.reshape(-1, 2, 1 << (n_qubits - wire - 1))
+    y = mat @ x.transpose(1, 0, 2).reshape(2, -1)
+    return y.reshape(2, x.shape[0], x.shape[2]).transpose(1, 0, 2).reshape(states.shape)
+
+
+def _local_permutation(mat: np.ndarray) -> tuple[int, ...] | None:
+    """Source column of each row when `mat` is a 0/1 permutation matrix, else None."""
+    ones = mat == 1
+    if np.count_nonzero(mat) == len(mat) and (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all():
+        return tuple(ones.argmax(axis=1).tolist())
+    return None
+
+
+@functools.lru_cache(maxsize=256)
+def _basis_permutation(local: tuple[int, ...], wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """Read-only gather index for the permutation matrix with rows I[local] on `wires`.
+
+    It is that matrix applied, on the generic path, to the basis indices
+    themselves (integer arithmetic, so exact).
+    """
+    mat = np.eye(len(local), dtype=np.int64)[list(local)]
+    perm = _apply_dense(np.arange(1 << n_qubits), mat, list(wires), n_qubits)
+    perm.setflags(write=False)
+    return perm
 
 
 def apply_gate(state: np.ndarray, gate_matrix: np.ndarray, wires: list[int]) -> np.ndarray:
@@ -104,31 +149,12 @@ def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
     return 2.0 * math.sqrt(max(0.0, 1.0 - ov * ov))
 
 
-def operator_norm(op: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest singular value via power iteration on op^dagger op."""
+def operator_norm(op: np.ndarray) -> float:
+    """Largest singular value (spectral norm) of a square matrix."""
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"operator_norm needs a square matrix, got {op.shape}")
-    if not np.any(op):
-        return 0.0
-    b = op.conj().T @ op
-    # fixed seed: the result must not depend on external RNG state
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(b.shape[0]) + 1j * rng.standard_normal(b.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        lam_new = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+    return float(np.linalg.norm(op, 2))
 
 
 def unitarity_deviation(mat: np.ndarray) -> float:

@@ -93,6 +93,24 @@ class TestRunConfig:
         assert type(cfg.sigma) is float
         assert cfg.hash() == RunConfig(task="bas", sigma=0.0).hash()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--task", "tfim", "--tfim-g", "nan", "--vqe-iters", "1"],
+            ["--task", "tfim", "--tfim-g", "inf", "--vqe-iters", "1"],
+            ["--task", "bas", "--train-lr", "nan", "--train-epochs", "1"],
+            ["--task", "bas", "--train-lr=-inf", "--train-epochs", "1"],
+        ],
+        ids=["tfim_g_nan", "tfim_g_inf", "train_lr_nan", "train_lr_neg_inf"],
+    )
+    def test_non_finite_knob_is_usage_error_before_training(self, flags, monkeypatch, capsys):
+        def no_training(config):
+            raise AssertionError("a rejected config reached prepare_task")
+
+        monkeypatch.setattr(cli, "prepare_task", no_training)
+        assert main(["prune", "--depth", "1", *flags]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--gamma", "5"], ["--beta", "-1"]], ids=["lambda_negative", "beta_negative"])
     def test_bad_deformation_is_usage_error_before_training(self, flags, monkeypatch, capsys):
         def no_training(config):

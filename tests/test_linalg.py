@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qiprune.linalg import (
     apply_gate,
+    apply_matrix,
     haar_unitary,
     n_qubits_of,
     operator_norm,
@@ -63,11 +64,31 @@ class TestApplyGate:
         from oracles import embed_kron
 
         rng = np.random.default_rng(11)
-        psi = random_state(3, rng)
-        for wires in ([1], [2, 0], [0, 1]):
-            gate = haar_unitary(1 << len(wires), rng)
-            expected = embed_kron(gate, wires, 3) @ psi
-            np.testing.assert_allclose(apply_gate(psi, gate, wires), expected, atol=1e-12)
+        cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+        swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        cycle = np.eye(4, dtype=complex)[[1, 2, 3, 0]]  # not its own inverse, unlike CNOT and SWAP
+        # each must take the generic path: a gather would drop the sign, an entry or a row sum
+        signed_perm = np.diag([1, 1, 1, -1]).astype(complex) @ cnot
+        with_fraction = cnot + 0.5 * np.eye(4)[[1, 0, 2, 3]]
+        repeated_column = np.eye(4, dtype=complex)[[0, 0, 2, 3]]
+        extra_one = np.eye(4, dtype=complex) + np.eye(4, k=1)
+        cases = []
+        for n in range(1, 7):
+            for w in range(n):
+                non_unitary = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                cases += [(haar_unitary(2, rng), [w], n), (non_unitary, [w], n)]
+        for n in (2, 3, 5):
+            pairs = {(0, 1), (1, 0), (0, n - 1), (n - 1, 0), (n - 1, n // 2)}
+            for wires in sorted(p for p in pairs if p[0] != p[1]):
+                for mat in (cnot, swap, cycle, signed_perm, with_fraction, repeated_column, extra_one, haar_unitary(4, rng)):
+                    cases.append((mat, list(wires), n))
+        for lead in ((), (5,), (6, 5)):
+            for mat, wires, n in cases:
+                states = rng.standard_normal(lead + (1 << n,)) + 1j * rng.standard_normal(lead + (1 << n,))
+                expected = states @ embed_kron(mat, wires, n).T
+                got = apply_matrix(states, mat, wires, n)
+                assert got.shape == states.shape
+                np.testing.assert_allclose(got, expected, atol=1e-12, err_msg=f"{wires} on {n} qubits")
 
     def test_errors(self):
         psi = basis(2, 0)
