@@ -150,10 +150,17 @@ def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
 
 
 def operator_norm(op: np.ndarray) -> float:
-    """Largest singular value (spectral norm) of a square matrix."""
+    """Largest singular value (spectral norm) of a square matrix.
+
+    A diagonal matrix (every nonzero entry on the diagonal) takes max |diag|,
+    which is exact and costs one pass; any other matrix takes an SVD.
+    """
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"operator_norm needs a square matrix, got {op.shape}")
+    diag = np.diagonal(op)
+    if np.count_nonzero(op) == np.count_nonzero(diag):
+        return float(np.max(np.abs(diag), initial=0.0))
     return float(np.linalg.norm(op, 2))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import ROT, Circuit, Gate, compile_gate, apply_gate_sequence, rot_matrix, run, zyz_angles
 from .linalg import as_ensemble, operator_norm, pure_trace_distance
-from .qmetric import QGeometry, Tolerance, d_q, d_q_per_state, drift_rhs
+from .qmetric import QGeometry, Tolerance, block_comparator, drift_rhs
 
 MODES = ("reference_only", "pairwise_medoid")
 
@@ -129,24 +129,19 @@ def partition(circuit: Circuit) -> SubgroupPartition:
     return SubgroupPartition(groups=tuple(groups), reference=reference)
 
 
-def _medoid(
-    circuit: Circuit,
-    group: tuple[int, ...],
-    prefix: np.ndarray,
-    geo: QGeometry,
-) -> tuple[int, int]:
+def _medoid(circuit: Circuit, group: tuple[int, ...], compare) -> tuple[int, int]:
     """Gate minimizing summed d_q to the rest of the group; ties -> smallest id.
 
-    Returns (gate id, number of pairwise evaluations performed).
+    `compare` is the block's `block_comparator`. Returns (gate id, number of
+    pairwise evaluations performed).
     """
     mats = {gid: compile_gate(circuit.gates[gid]) for gid in group}
-    wires = [circuit.gates[group[0]].qubit]
     sums = {gid: 0.0 for gid in group}
     count = 0
     ids = sorted(group)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            d = d_q(mats[a], mats[b], prefix, geo, wires=wires)
+            d = float(np.mean(compare(mats[a], mats[b])))
             sums[a] += d
             sums[b] += d
             count += 1
@@ -198,9 +193,9 @@ def prune(
         if g.id in group_of_first:
             gi = group_of_first[g.id]
             group = part.groups[gi]
-            prefix = states
+            compare = block_comparator(states, geo, [g.qubit])
             if mode == "pairwise_medoid":
-                ref_id, n_pairs = _medoid(circuit, group, prefix, geo)
+                ref_id, n_pairs = _medoid(circuit, group, compare)
                 selection_comparisons += n_pairs
             else:
                 ref_id = part.reference[gi]
@@ -208,15 +203,12 @@ def prune(
                     raise ValueError(f"reference {ref_id} not in group {group}")
             ref_gate = circuit.gates[ref_id]
             ref_mat = compile_gate(ref_gate)
-            wires = [ref_gate.qubit]
 
             candidates: list[tuple[float, int, float]] = []
             for gid in group:
                 if gid == ref_id:
                     continue
-                terms = d_q_per_state(
-                    ref_mat, compile_gate(circuit.gates[gid]), prefix, geo, wires=wires
-                )
+                terms = compare(ref_mat, compile_gate(circuit.gates[gid]))
                 d = float(np.mean(terms))
                 comparisons += 1
                 dq_values[gid] = d
@@ -328,14 +320,15 @@ def certify(
     if circuit.n_qubits != pruned.n_qubits or len(circuit.gates) != len(pruned.gates):
         raise ValueError("original and pruned circuits do not match the report")
     states = as_ensemble(ensemble, circuit.dim)
+    observable = np.asarray(observable)
 
     out_a = run(circuit, states)
     out_b = run(pruned, states)
     tds = tuple(
         pure_trace_distance(out_a[k], out_b[k]) for k in range(states.shape[0])
     )
-    ev_a = np.real(np.einsum("ki,ij,kj->k", np.conj(out_a), observable, out_a))
-    ev_b = np.real(np.einsum("ki,ij,kj->k", np.conj(out_b), observable, out_b))
+    ev_a = np.real(np.sum(np.conj(out_a) * (out_a @ observable.T), axis=1))
+    ev_b = np.real(np.sum(np.conj(out_b) * (out_b @ observable.T), axis=1))
     drifts = tuple(float(x) for x in np.abs(ev_a - ev_b))
 
     op = operator_norm(observable)

@@ -107,6 +107,43 @@ def d_q_per_state(
     return np.arccos(ratio)
 
 
+def block_comparator(ensemble, geo: QGeometry, wires: list[int]):
+    """Per-state d_q terms for gates on `wires`, from one pass over the ensemble.
+
+    Builds, once, each state's weighted reduced matrix on the k wires,
+    R_ab = sum_r conj(psi_ar) g_ar psi_br (a, b index the 2^k basis states of
+    `wires`, wires[0] most significant; r runs over the other qubits), so that
+    <psi|U^dag V|psi>_q = sum_ab R_ab (U^dag V)_ab and ||psi||_q^2 = tr R.
+    Returns `terms(U, V)`, equal to d_q_per_state(U, V, ensemble, geo, wires)
+    up to rounding, at O(M 4^k) per call instead of two passes over all 2^n
+    amplitudes. Identical operator arrays give exact zeros, as there.
+    """
+    states = as_ensemble(ensemble, geo.dim)
+    n = n_qubits_of(states[0])
+    k = len(wires)
+    if len(set(wires)) != k or any(w < 0 or w >= n for w in wires):
+        raise ValueError(f"need distinct wires in range for {n} qubits, got {wires}")
+    m = states.shape[0]
+    psi = np.moveaxis(states.reshape((m,) + (2,) * n), [w + 1 for w in wires], list(range(1, k + 1)))
+    psi = psi.reshape(m, 1 << k, -1)
+    g = np.moveaxis(geo.g_diag.reshape((2,) * n), wires, list(range(k))).reshape(1 << k, -1)
+    reduced = np.conj(g * psi) @ psi.transpose(0, 2, 1)
+    norms = np.real(np.trace(reduced, axis1=1, axis2=2))
+    flat = reduced.reshape(m, -1)
+
+    def terms(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        U = np.asarray(U, dtype=complex)
+        V = np.asarray(V, dtype=complex)
+        if U.shape != V.shape or U.shape != (1 << k, 1 << k):
+            raise ValueError(f"operator shapes {U.shape}, {V.shape} do not match {k} wires")
+        if np.array_equal(U, V):
+            return np.zeros(m)
+        num = np.abs(flat @ (U.conj().T @ V).ravel())
+        return np.arccos(np.clip(num / norms, 0.0, 1.0))
+
+    return terms
+
+
 def d_q(
     U: np.ndarray,
     V: np.ndarray,

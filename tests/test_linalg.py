@@ -155,8 +155,18 @@ class TestOperatorNorm:
             u = haar_unitary(4, rng) @ haar_unitary(4, rng) @ haar_unitary(4, rng)
             assert operator_norm(u) == pytest.approx(1.0, abs=1e-9)
 
+    def test_complex_diagonal_is_exact(self):
+        assert operator_norm(np.diag([3j, -1.0, 0.5])) == 3.0
+
+    def test_off_diagonal_entry_takes_the_svd(self):
+        op = np.diag([3j, -1.0, 0.5])
+        op[0, 1] = 1e-3
+        assert operator_norm(op) == pytest.approx(np.linalg.norm(op, 2), rel=1e-14)
+        assert operator_norm(op) > 3.0
+
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert operator_norm(np.zeros((0, 0))) == 0.0
 
     def test_shape_error(self):
         with pytest.raises(ValueError, match="square"):

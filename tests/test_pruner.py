@@ -323,6 +323,27 @@ class TestCertify:
             assert cert.max_trace_distance <= cert.trace_bound + 1e-9
             assert cert.max_obs_drift <= cert.obs_bound + 1e-9
 
+    def test_dense_observable_against_per_state_reference(self):
+        # every other certify test uses the diagonal Z0; a random Hermitian
+        # observable exercises the full product and the SVD norm
+        n = 3
+        circ = build_ansatz(n, 2, sigma=0.02, seed=24)
+        geo = build_geometry(n, 1.0)
+        ens = ensemble(n, 6, 24)
+        pruned, report = prune(circ, partition(circ), ens, geo, calibrate_epsilon(0.05, geo))
+        assert report.L > 0
+        rng = np.random.default_rng(24)
+        h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        obs = (h + h.conj().T) / 2.0
+        cert = certify(report, circ, pruned, ens, obs)
+        expected = []
+        for psi in ens:
+            a, b = run(circ, psi), run(pruned, psi)
+            expected.append(abs(np.vdot(a, obs @ a).real - np.vdot(b, obs @ b).real))
+        assert max(expected) > 0.0
+        np.testing.assert_allclose(cert.obs_drifts, expected, rtol=0, atol=1e-12)
+        assert cert.op_norm == pytest.approx(np.linalg.norm(obs, 2), rel=1e-14)
+
     def test_mismatched_circuits_rejected(self):
         circ = build_ansatz(2, 1, sigma=0.01, seed=20)
         geo = build_geometry(2, 1.0)

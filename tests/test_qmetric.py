@@ -7,6 +7,7 @@ import scipy.linalg
 from qiprune.linalg import haar_unitary, pure_trace_distance, random_state
 from qiprune.qmetric import (
     Tolerance,
+    block_comparator,
     build_geometry,
     calibrate_epsilon,
     d_q,
@@ -123,6 +124,42 @@ class TestDq:
             direct = d_q(u, v, ens, geo, wires=[wire])
             embedded = d_q(embed_kron(u, [wire], 3), embed_kron(v, [wire], 3), ens, geo)
             assert direct == pytest.approx(embedded, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, 1.03, 1.5])
+    def test_block_comparator_matches_apply_reference(self, q):
+        # every wire and ordered wire pair for n = 1..6, against the two-pass
+        # d_q_per_state; near pairs (V = U exp(i t H)) reach d down to ~1e-4
+        rng = np.random.default_rng(int(100 * q))
+        for n in range(1, 7):
+            geo = build_geometry(n, q)
+            ens = np.array([random_state(n, rng) for _ in range(5)])
+            wire_sets = [[w] for w in range(n)] + [[a, b] for a in range(n) for b in range(n) if a != b]
+            for wires in wire_sets:
+                dim = 1 << len(wires)
+                compare = block_comparator(ens, geo, wires)
+                u = haar_unitary(dim, rng)
+                h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                h = (h + h.conj().T) / 2.0
+                for t in (1e-4, 1e-2, 1.0):
+                    v = u @ scipy.linalg.expm(1j * t * h)
+                    ref = d_q_per_state(u, v, ens, geo, wires=wires)
+                    got = compare(u, v)
+                    np.testing.assert_allclose(np.cos(got), np.cos(ref), rtol=0, atol=1e-13)
+                    far = ref >= 1e-3
+                    np.testing.assert_allclose(got[far], ref[far], rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(compare(u, u.copy()), np.zeros(len(ens)))
+
+    def test_block_comparator_errors(self):
+        geo = build_geometry(2, 1.0)
+        ens = [basis(2, 0)]
+        with pytest.raises(ValueError, match="wires"):
+            block_comparator(ens, geo, [2])
+        with pytest.raises(ValueError, match="wires"):
+            block_comparator(ens, geo, [0, 0])
+        with pytest.raises(ValueError, match="do not match"):
+            block_comparator(ens, geo, [0])(np.eye(4), np.eye(4))
+        with pytest.raises(ValueError, match="unit-norm"):
+            block_comparator([2.0 * basis(2, 0)], geo, [0])
 
     def test_clamp_keeps_arccos_total_for_deformed_q(self):
         rng = np.random.default_rng(23)
