@@ -15,7 +15,6 @@ from qiprune import (
     certify,
     evaluate_classifier,
     generate_bas,
-    partition,
     prune,
     train_classifier,
 )
@@ -48,7 +47,7 @@ for delta in (0.01, 0.02):
     for sigma in (0.001, 0.003, 0.006, 0.01):
         baseline = build_ansatz(N, DEPTH, centers=block_centers(trained), sigma=sigma, seed=SEED)
         tol = calibrate_epsilon(delta, geo, rule="half_delta_rule")
-        pruned, report = prune(baseline, partition(baseline), ensemble.states, geo, tol)
+        pruned, report = prune(baseline, ensemble.states, geo, tol)
         cert = certify(report, baseline, pruned, ensemble.states, z0_observable(N))
         acc_b = 100 * evaluate_classifier(baseline, data)
         acc_p = 100 * evaluate_classifier(pruned, data)
@@ -64,7 +63,7 @@ print("analytic certificate on every grid point above.")
 print("\n=== structural compression ===")
 baseline = build_ansatz(N, DEPTH, centers=block_centers(trained), sigma=0.001, seed=SEED)
 tol = calibrate_epsilon(0.01, geo)
-pruned, report = prune(baseline, partition(baseline), ensemble.states, geo, tol)
+pruned, report = prune(baseline, ensemble.states, geo, tol)
 print(f"replaced {report.L}/{report.n_rot} rotation gates; merging identical")
 print(f"adjacent gates compresses {len(baseline.gates)} gates to "
       f"{report.merged_gate_count} ({report.merged_removed} removed)")

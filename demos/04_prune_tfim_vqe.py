@@ -15,7 +15,6 @@ from qiprune import (
     build_tfim,
     calibrate_epsilon,
     certify,
-    partition,
     prune,
     run_vqe,
 )
@@ -50,7 +49,7 @@ for delta in (0.01, 0.02):
     for sigma in (0.001, 0.003, 0.006, 0.01):
         baseline = build_ansatz(N, DEPTH, centers=block_centers(vqe.trained), sigma=sigma, seed=SEED)
         tol = calibrate_epsilon(delta, geo, rule="half_delta_rule")
-        pruned, report = prune(baseline, partition(baseline), ensemble.states, geo, tol)
+        pruned, report = prune(baseline, ensemble.states, geo, tol)
         cert = certify(report, baseline, pruned, ensemble.states, h_norm)
         e_b = vqe_energy(baseline, spec, normalized=True)
         e_p = vqe_energy(pruned, spec, normalized=True)

@@ -23,14 +23,12 @@ from .qmetric import (
     d_q_per_state,
     drift_rhs,
     q_inner,
-    q_weighted_param_norm,
     statewise_deviation_bound,
 )
-from .circuit import Circuit, Gate, build_ansatz, compile_gate, prefix_states, run
+from .circuit import Circuit, Gate, build_ansatz, compile_gate, run
 from .pruner import (
     CertificateRecord,
     PruneReport,
-    SubgroupPartition,
     certify,
     merge_adjacent_duplicates,
     partition,
@@ -75,17 +73,14 @@ __all__ = [
     "d_q_per_state",
     "drift_rhs",
     "q_inner",
-    "q_weighted_param_norm",
     "statewise_deviation_bound",
     "Circuit",
     "Gate",
     "build_ansatz",
     "compile_gate",
-    "prefix_states",
     "run",
     "CertificateRecord",
     "PruneReport",
-    "SubgroupPartition",
     "certify",
     "merge_adjacent_duplicates",
     "partition",

@@ -1,4 +1,4 @@
-"""Hardware-efficient ansatz, gate compilation, execution, prefix extraction.
+"""Hardware-efficient ansatz, gate compilation and execution.
 
 The benchmark ansatz places, per layer and per qubit, a block of five Rot
 gates (the candidate pool) sampled around a per-block center, followed by a
@@ -11,13 +11,12 @@ share the same perturbation directions.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_matrix, as_ensemble
+from .linalg import apply_matrix
 
 ROT = "rot"
 CNOT = "cnot"
@@ -58,9 +57,6 @@ class Circuit:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
-
-    def rot_gates(self) -> list[Gate]:
-        return [g for g in self.gates if g.kind == ROT]
 
     @property
     def n_rot(self) -> int:
@@ -193,74 +189,7 @@ def run(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return apply_gate_sequence(state, circuit.gates, circuit.n_qubits)
 
 
-def prefix_states(circuit: Circuit, ensemble, position: int) -> np.ndarray:
-    """Ensemble propagated through all gates with id strictly before `position`.
-
-    position = 0 returns the inputs unchanged; position = len(gates) equals a
-    full forward pass.
-    """
-    if not 0 <= position <= len(circuit.gates):
-        raise ValueError(f"invalid gate position {position} for {len(circuit.gates)} gates")
-    states = as_ensemble(ensemble, circuit.dim)
-    out = apply_gate_sequence(states, circuit.gates[:position], circuit.n_qubits)
-    return out[0] if np.ndim(ensemble) == 1 else out
-
-
 def expectation(circuit: Circuit, state: np.ndarray, observable: np.ndarray) -> float:
     """Real expectation <psi| C^dag O C |psi> of a Hermitian observable."""
     out = run(circuit, state)
     return float(np.real(np.vdot(out, observable @ out)))
-
-
-def to_json_dict(circuit: Circuit) -> dict:
-    """JSON schema: {n_qubits, depth, gates: [{id, kind, params, qubit, layer, slot}
-    | {id, kind, control, target, layer, slot}]}."""
-    gates = []
-    for g in circuit.gates:
-        entry: dict = {"id": g.id, "kind": g.kind, "layer": g.layer, "slot": g.slot}
-        if g.kind == ROT:
-            entry["params"] = list(g.angles)
-            entry["qubit"] = g.qubit
-        else:
-            entry["control"] = g.control
-            entry["target"] = g.target
-        gates.append(entry)
-    return {"n_qubits": circuit.n_qubits, "depth": circuit.depth, "gates": gates}
-
-
-def from_json_dict(doc: dict) -> Circuit:
-    gates = []
-    for entry in doc["gates"]:
-        if entry["kind"] == ROT:
-            gates.append(
-                Gate(
-                    id=entry["id"],
-                    kind=ROT,
-                    layer=entry["layer"],
-                    slot=entry["slot"],
-                    qubit=entry["qubit"],
-                    angles=tuple(entry["params"]),
-                )
-            )
-        elif entry["kind"] == CNOT:
-            gates.append(
-                Gate(
-                    id=entry["id"],
-                    kind=CNOT,
-                    layer=entry["layer"],
-                    slot=entry["slot"],
-                    control=entry["control"],
-                    target=entry["target"],
-                )
-            )
-        else:
-            raise ValueError(f"unknown gate kind in document: {entry['kind']!r}")
-    return Circuit(n_qubits=doc["n_qubits"], depth=doc["depth"], gates=tuple(gates))
-
-
-def to_json(circuit: Circuit) -> str:
-    return json.dumps(to_json_dict(circuit), sort_keys=True)
-
-
-def from_json(text: str) -> Circuit:
-    return from_json_dict(json.loads(text))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import numpy as np
 
 from .circuit import block_centers, build_ansatz
 from .linalg import operator_norm
-from .pruner import MODES, certify, partition, prune
+from .pruner import MODES, certify, prune
 from .qalgebra import DeformationParams
 from .qmetric import EPSILON_RULES, build_geometry, calibrate_epsilon
 from .tasks import (
@@ -121,6 +122,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epsilon_rule not in EPSILON_RULES:
             raise ConfigError(
                 f"unknown epsilon rule {self.epsilon_rule!r} (expected one of {EPSILON_RULES})"
@@ -245,10 +248,8 @@ def run_grid_point(ctx: TaskContext, delta: float, sigma: float) -> dict:
     baseline = build_ansatz(n, config.depth, centers=ctx.trained_centers, sigma=sigma, seed=config.seed)
     geo = build_geometry(n, config.q)
     tol = calibrate_epsilon(delta, geo, rule=config.epsilon_rule)
-    part = partition(baseline)
     pruned, report = prune(
         baseline,
-        part,
         ctx.ensemble_states,
         geo,
         tol,
@@ -324,6 +325,12 @@ def cmd_prune(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, deltas, sigmas, seeds) -> int:
+    for flag, values in (("--deltas", deltas), ("--sigmas", sigmas), ("--seeds", seeds)):
+        if not values:
+            raise ConfigError(f"{flag} lists no values")
+    # reject any bad grid point before training or writing anything
+    for seed, delta, sigma in itertools.product(seeds, deltas, sigmas):
+        dc_replace(config, delta=delta, sigma=sigma, seed=seed)
     out = Path(config.out_dir)
     for seed in seeds:
         seed_config = dc_replace(config, seed=seed)

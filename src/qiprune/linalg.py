@@ -171,10 +171,6 @@ def unitarity_deviation(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat @ mat.conj().T - eye)))
 
 
-def is_unitary(mat: np.ndarray, atol: float = ATOL) -> bool:
-    return unitarity_deviation(mat) <= atol
-
-
 def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Normalized Gaussian-random state on n qubits."""
     v = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)

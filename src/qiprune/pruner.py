@@ -22,14 +22,6 @@ from .qmetric import QGeometry, Tolerance, block_comparator, drift_rhs
 MODES = ("reference_only", "pairwise_medoid")
 
 
-@dataclass(frozen=True)
-class SubgroupPartition:
-    """Disjoint Rot-gate groups (one per qubit-layer block) with a reference each."""
-
-    groups: tuple[tuple[int, ...], ...]
-    reference: dict[int, int]
-
-
 @dataclass
 class PruneReport:
     kept: tuple[int, ...]
@@ -95,22 +87,19 @@ class CertificateRecord:
 CERT_TOL = 1e-9
 
 
-def _check_positional_ids(circuit: Circuit) -> None:
+def partition(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
+    """One group of Rot-gate ids per (layer, qubit) block, in ascending id order.
+
+    A group's first id is its default reference. Single-qubit rotation
+    blocks are closed under composition and inversion by construction. CNOT
+    gates are never pruning candidates.
+    """
     # gate ids double as indices into circuit.gates throughout this module
     for pos, g in enumerate(circuit.gates):
         if g.id != pos:
             raise ValueError(
                 f"gate ids must equal execution positions (gate {g.id} at position {pos})"
             )
-
-
-def partition(circuit: Circuit) -> SubgroupPartition:
-    """One group per (layer, qubit) block of Rot gates, reference = smallest id.
-
-    Single-qubit rotation blocks are closed under composition and inversion
-    by construction. CNOT gates are never pruning candidates.
-    """
-    _check_positional_ids(circuit)
     blocks: dict[tuple[int, int], list[int]] = {}
     for g in circuit.gates:
         if g.kind == ROT:
@@ -118,15 +107,13 @@ def partition(circuit: Circuit) -> SubgroupPartition:
     if not blocks:
         raise ValueError("circuit has no rotation gates to partition")
     groups = []
-    reference = {}
-    for idx, key in enumerate(sorted(blocks)):
+    for key in sorted(blocks):
         ids = sorted(blocks[key])
         slots = sorted(circuit.gates[i].slot for i in ids)
         if slots != list(range(len(ids))):
             raise ValueError(f"block {key} has non-contiguous slots {slots}")
         groups.append(tuple(ids))
-        reference[idx] = ids[0]
-    return SubgroupPartition(groups=tuple(groups), reference=reference)
+    return tuple(groups)
 
 
 def _medoid(circuit: Circuit, group: tuple[int, ...], compare) -> tuple[int, int]:
@@ -151,7 +138,6 @@ def _medoid(circuit: Circuit, group: tuple[int, ...], compare) -> tuple[int, int
 
 def prune(
     circuit: Circuit,
-    part: SubgroupPartition,
     ensemble,
     geo: QGeometry,
     tol: Tolerance,
@@ -160,10 +146,11 @@ def prune(
 ) -> tuple[Circuit, PruneReport]:
     """One-shot redundancy pruning with structured replacement.
 
-    Walks the circuit once, propagating the ensemble through the original
-    gates; at each block it compares every non-reference member against the
-    reference on the block-prefix ensemble and replaces it when the mean
-    distance is within epsilon_q. `max_replace_per_group` optionally caps
+    Partitions the circuit into blocks (`partition`), then walks it once,
+    propagating the ensemble through the original gates; at each block it
+    compares every non-reference member against the reference (the block's
+    first gate, or its medoid in "pairwise_medoid" mode) on the block-prefix
+    ensemble and replaces it when the mean distance is within epsilon_q. `max_replace_per_group` optionally caps
     replacements per block (smallest distances first); the default replaces
     every qualifying gate.
     """
@@ -173,12 +160,12 @@ def prune(
         raise ValueError(
             f"max_replace_per_group must be >= 1 when set, got {max_replace_per_group}"
         )
-    _check_positional_ids(circuit)
+    groups = partition(circuit)
     states = as_ensemble(ensemble, circuit.dim)
     if geo.dim != circuit.dim:
         raise ValueError(f"geometry dim {geo.dim} does not match circuit dim {circuit.dim}")
 
-    group_of_first = {min(group): gi for gi, group in enumerate(part.groups)}
+    group_at = {group[0]: group for group in groups}
     eps = tol.epsilon_q
 
     new_angles: dict[int, tuple[float, float, float]] = {}
@@ -190,17 +177,14 @@ def prune(
     selection_comparisons = 0
 
     for g in circuit.gates:
-        if g.id in group_of_first:
-            gi = group_of_first[g.id]
-            group = part.groups[gi]
+        if g.id in group_at:
+            group = group_at[g.id]
             compare = block_comparator(states, geo, [g.qubit])
             if mode == "pairwise_medoid":
                 ref_id, n_pairs = _medoid(circuit, group, compare)
                 selection_comparisons += n_pairs
             else:
-                ref_id = part.reference[gi]
-                if ref_id not in group:
-                    raise ValueError(f"reference {ref_id} not in group {group}")
+                ref_id = group[0]
             ref_gate = circuit.gates[ref_id]
             ref_mat = compile_gate(ref_gate)
 

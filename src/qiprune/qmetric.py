@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qalgebra
 from .linalg import apply_matrix, as_ensemble, n_qubits_of
 
 EPSILON_RULES = ("arcsin_rule", "half_delta_rule")
@@ -65,11 +64,6 @@ def q_inner(phi: np.ndarray, psi: np.ndarray, geo: QGeometry) -> complex:
             f"dimension mismatch: {phi.shape} vs {psi.shape} vs geometry dim {geo.dim}"
         )
     return complex(np.sum(np.conj(phi) * geo.g_diag * psi))
-
-
-def q_norm_sq(psi: np.ndarray, geo: QGeometry) -> float:
-    """||psi||_q^2 = <psi|G_q|psi> (real and positive for G_q > 0)."""
-    return float(np.sum(geo.g_diag * np.abs(psi) ** 2))
 
 
 def d_q_per_state(
@@ -182,14 +176,3 @@ def statewise_deviation_bound(epsilon: float, M_q: float) -> float:
     """Single-replacement trace-distance bound 2 sqrt(1 - cos^2(eps)/M_q^2)."""
     radicand = 1.0 - math.cos(epsilon) ** 2 / M_q**2
     return 2.0 * math.sqrt(max(0.0, radicand))
-
-
-def q_weighted_param_norm(theta_i, theta_j, q: float) -> float:
-    """Angle-space heuristic distance with coordinate weights [t]_q, t = 1..d."""
-    a = np.asarray(theta_i, dtype=float)
-    b = np.asarray(theta_j, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    weights = np.array([qalgebra.q_number(t, q) for t in range(1, a.size + 1)])
-    diff = (a - b).ravel()
-    return math.sqrt(float(np.sum(diff * diff * weights)))

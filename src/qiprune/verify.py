@@ -311,7 +311,7 @@ def _random_prune_run(rng: np.random.Generator):
     ens = np.array([random_state(n, rng) for _ in range(8)])
     tol = calibrate_epsilon(delta, geo)
     mode = str(rng.choice(["reference_only", "pairwise_medoid"]))
-    pruned, report = prune(circ, partition(circ), ens, geo, tol, mode=mode)
+    pruned, report = prune(circ, ens, geo, tol, mode=mode)
     return circ, pruned, report, ens
 
 
@@ -330,15 +330,15 @@ def _check_completeness(seed: int) -> list[CheckResult]:
 
 def _check_comparison_count(seed: int) -> list[CheckResult]:
     circ = build_ansatz(3, 2, sigma=0.01, seed=seed)
-    part = partition(circ)
+    groups = partition(circ)
     geo = build_geometry(3, 1.0)
     rng = np.random.default_rng(seed)
     ens = np.array([random_state(3, rng) for _ in range(4)])
     tol = calibrate_epsilon(0.01, geo)
-    _, rep_ref = prune(circ, part, ens, geo, tol, mode="reference_only")
-    _, rep_med = prune(circ, part, ens, geo, tol, mode="pairwise_medoid")
-    n_rot, r = circ.n_rot, len(part.groups)
-    expected_pairs = sum(len(g) * (len(g) - 1) // 2 for g in part.groups)
+    _, rep_ref = prune(circ, ens, geo, tol, mode="reference_only")
+    _, rep_med = prune(circ, ens, geo, tol, mode="pairwise_medoid")
+    n_rot, r = circ.n_rot, len(groups)
+    expected_pairs = sum(len(g) * (len(g) - 1) // 2 for g in groups)
     err = abs(rep_ref.comparisons - (n_rot - r)) + abs(rep_ref.selection_comparisons)
     err += abs(rep_med.comparisons - (n_rot - r)) + abs(
         rep_med.selection_comparisons - expected_pairs
@@ -355,7 +355,7 @@ def _check_certificates(seed: int) -> list[CheckResult]:
         geo = build_geometry(4, math.exp(0.03))
         ens = np.array([random_state(4, rng) for _ in range(12)])
         tol = calibrate_epsilon(delta, geo)
-        pruned, report = prune(circ, partition(circ), ens, geo, tol)
+        pruned, report = prune(circ, ens, geo, tol)
         cert = certify(report, circ, pruned, ens, z0_observable(4))
         worst = max(
             worst,

@@ -21,7 +21,7 @@ from oracles import circuit_unitary
 from qiprune.circuit import build_ansatz, compile_gate, run
 from qiprune.cli import RunConfig, prepare_task, run_grid_point
 from qiprune.linalg import random_state
-from qiprune.pruner import certify, partition, prune
+from qiprune.pruner import certify, prune
 from qiprune.qalgebra import DeformationParams, commutator_contraction_check, q_exp, q_number
 from qiprune.qmetric import build_geometry, calibrate_epsilon
 from qiprune.tasks import z0_observable
@@ -211,7 +211,7 @@ def test_small_instance_oracle_equivalence():
         tol = calibrate_epsilon(0.02, geo)
         rng = np.random.default_rng(seed)
         ens = np.array([random_state(2, rng) for _ in range(8)])
-        pruned, report = prune(circ, partition(circ), ens, geo, tol)
+        pruned, report = prune(circ, ens, geo, tol)
         u_orig = circuit_unitary(circ, compile_gate)
         u_pruned = circuit_unitary(pruned, compile_gate)
         for k, psi in enumerate(ens):

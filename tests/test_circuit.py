@@ -12,11 +12,8 @@ from qiprune.circuit import (
     build_ansatz,
     compile_gate,
     expectation,
-    from_json,
-    prefix_states,
     rot_matrix,
     run,
-    to_json,
     zyz_angles,
 )
 from qiprune.linalg import random_state, unitarity_deviation
@@ -65,14 +62,18 @@ class TestBuildAnsatz:
     def test_sigma_zero_blocks_equal_center(self):
         centers = np.random.default_rng(5).uniform(-1, 1, size=(2, 3, 3))
         circ = build_ansatz(2, 3, centers=centers, sigma=0.0, seed=7)
-        for g in circ.rot_gates():
+        for g in circ.gates:
+            if g.kind != ROT:
+                continue
             np.testing.assert_array_equal(g.angles, centers[g.qubit, g.layer])
 
     def test_noise_directions_shared_across_sigma(self):
         centers = np.zeros((2, 2, 3))
         c1 = build_ansatz(2, 2, centers=centers, sigma=0.001, seed=3)
         c2 = build_ansatz(2, 2, centers=centers, sigma=0.003, seed=3)
-        for g1, g2 in zip(c1.rot_gates(), c2.rot_gates()):
+        for g1, g2 in zip(c1.gates, c2.gates):
+            if g1.kind != ROT:
+                continue
             np.testing.assert_allclose(np.array(g2.angles), 3.0 * np.array(g1.angles), rtol=1e-12)
 
     def test_single_qubit_has_no_entangler(self):
@@ -137,66 +138,6 @@ class TestRun:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             run(build_ansatz(2, 1), basis(3, 0))
-
-
-class TestPrefixStates:
-    def test_position_zero_unchanged(self):
-        rng = np.random.default_rng(3)
-        circ = build_ansatz(2, 2, sigma=0.1, seed=4)
-        ens = np.array([random_state(2, rng) for _ in range(3)])
-        np.testing.assert_array_equal(prefix_states(circ, ens, 0), ens)
-
-    def test_after_x_equivalent_gate(self):
-        g = Gate(id=0, kind=ROT, layer=0, slot=0, qubit=0, angles=(0.0, math.pi, 0.0))
-        circ = Circuit(1, 1, (g,))
-        out = prefix_states(circ, basis(1, 0), 1)
-        assert abs(np.vdot(out, basis(1, 1))) == pytest.approx(1.0, abs=1e-12)
-
-    def test_full_prefix_equals_run(self):
-        rng = np.random.default_rng(9)
-        circ = build_ansatz(3, 2, sigma=0.3, seed=5)
-        ens = np.array([random_state(3, rng) for _ in range(2)])
-        np.testing.assert_allclose(
-            prefix_states(circ, ens, len(circ.gates)), run(circ, ens), atol=1e-12
-        )
-
-    def test_prefix_plus_suffix_equals_run(self):
-        from qiprune.circuit import apply_gate_sequence
-
-        rng = np.random.default_rng(10)
-        circ = build_ansatz(3, 2, sigma=0.3, seed=6)
-        psi = random_state(3, rng)
-        full = run(circ, psi)
-        for position in (1, 7, 19, len(circ.gates) - 1):
-            pre = prefix_states(circ, psi, position)
-            out = apply_gate_sequence(pre, circ.gates[position:], 3)
-            np.testing.assert_allclose(out, full, atol=1e-10)
-
-    def test_invalid_position(self):
-        circ = build_ansatz(2, 1)
-        with pytest.raises(ValueError, match="position"):
-            prefix_states(circ, basis(2, 0), len(circ.gates) + 1)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        circ = build_ansatz(3, 2, sigma=0.07, seed=12)
-        assert from_json(to_json(circ)) == circ
-
-    def test_schema_fields(self):
-        import json
-
-        circ = build_ansatz(2, 1, sigma=0.0, seed=0)
-        doc = json.loads(to_json(circ))
-        assert set(doc) == {"n_qubits", "depth", "gates"}
-        rot = next(g for g in doc["gates"] if g["kind"] == "rot")
-        assert set(rot) == {"id", "kind", "layer", "slot", "params", "qubit"}
-        cnot = next(g for g in doc["gates"] if g["kind"] == "cnot")
-        assert set(cnot) == {"id", "kind", "layer", "slot", "control", "target"}
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            from_json('{"n_qubits": 1, "depth": 1, "gates": [{"kind": "h", "id": 0, "layer": 0, "slot": 0}]}')
 
 
 class TestZyzAngles:

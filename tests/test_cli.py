@@ -19,6 +19,14 @@ from qiprune.cli import (
 from qiprune.qalgebra import DeformationParams
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    def refuse(config):
+        raise AssertionError("a rejected config reached prepare_task")
+
+    monkeypatch.setattr(cli, "prepare_task", refuse)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -72,8 +80,9 @@ class TestRunConfig:
             ({"max_replace_per_group": 0}, "max_replace_per_group"),
             ({"depth": 0}, "depth"),
             ({"M": 0}, "M must"),
+            ({"seed": -1}, "seed must"),
         ],
-        ids=["mode", "epsilon_rule", "cap_negative", "cap_zero", "depth", "M"],
+        ids=["mode", "epsilon_rule", "cap_negative", "cap_zero", "depth", "M", "seed_negative"],
     )
     def test_out_of_range_knobs_rejected(self, knob, match):
         with pytest.raises(ConfigError, match=match):
@@ -103,20 +112,12 @@ class TestRunConfig:
         ],
         ids=["tfim_g_nan", "tfim_g_inf", "train_lr_nan", "train_lr_neg_inf"],
     )
-    def test_non_finite_knob_is_usage_error_before_training(self, flags, monkeypatch, capsys):
-        def no_training(config):
-            raise AssertionError("a rejected config reached prepare_task")
-
-        monkeypatch.setattr(cli, "prepare_task", no_training)
+    def test_non_finite_knob_is_usage_error_before_training(self, flags, no_training, capsys):
         assert main(["prune", "--depth", "1", *flags]) == 2
         assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--gamma", "5"], ["--beta", "-1"]], ids=["lambda_negative", "beta_negative"])
-    def test_bad_deformation_is_usage_error_before_training(self, flags, monkeypatch, capsys):
-        def no_training(config):
-            raise AssertionError("a rejected config reached prepare_task")
-
-        monkeypatch.setattr(cli, "prepare_task", no_training)
+    def test_bad_deformation_is_usage_error_before_training(self, flags, no_training, capsys):
         assert main(["prune", "--task", "bas", *flags]) == 2
         assert "deformation" in capsys.readouterr().err
 
@@ -280,6 +281,25 @@ class TestSweepCommand:
         assert code == 0
         assert (tmp_path / "results_bas_seed0.csv").exists()
         assert (tmp_path / "results_bas_seed1.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "grid,match",
+        [
+            (["--deltas", "0.01,1.5"], "delta"),
+            (["--sigmas", "nan"], "sigma must be finite"),
+            (["--seeds", "0,-1"], "seed must"),
+            (["--deltas", ""], "--deltas lists no values"),
+            (["--sigmas", ""], "--sigmas lists no values"),
+            (["--seeds", ""], "--seeds lists no values"),
+        ],
+        ids=["delta_out_of_range", "sigma_nan", "seed_negative", "no_deltas", "no_sigmas", "no_seeds"],
+    )
+    def test_bad_grid_is_usage_error_before_training(self, grid, match, tmp_path, no_training, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--task", "bas", "--depth", "2", *grid, "--out", str(out)]) == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

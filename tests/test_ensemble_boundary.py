@@ -4,9 +4,9 @@ linalg.as_ensemble: the drift bounds hold only for finite unit-norm states."""
 import numpy as np
 import pytest
 
-from qiprune.circuit import build_ansatz, compile_gate, prefix_states
+from qiprune.circuit import build_ansatz, compile_gate
 from qiprune.linalg import ATOL, as_ensemble, random_state
-from qiprune.pruner import certify, partition, prune
+from qiprune.pruner import certify, prune
 from qiprune.qmetric import build_geometry, calibrate_epsilon, d_q_per_state
 from qiprune.tasks import build_ensemble, z0_observable
 
@@ -35,13 +35,13 @@ def one_zero():
 def call_prune(ens):
     circ = build_ansatz(2, 1, sigma=0.01, seed=0)
     geo = build_geometry(2, 1.0)
-    prune(circ, partition(circ), ens, geo, calibrate_epsilon(0.01, geo))
+    prune(circ, ens, geo, calibrate_epsilon(0.01, geo))
 
 
 def call_certify(ens):
     circ = build_ansatz(2, 1, sigma=0.01, seed=0)
     geo = build_geometry(2, 1.0)
-    pruned, report = prune(circ, partition(circ), good_ensemble(), geo, calibrate_epsilon(0.01, geo))
+    pruned, report = prune(circ, good_ensemble(), geo, calibrate_epsilon(0.01, geo))
     certify(report, circ, pruned, ens, z0_observable(2))
 
 
@@ -51,17 +51,13 @@ def call_d_q_per_state(ens):
     d_q_per_state(u, v, ens, build_geometry(2, 1.0), wires=[0])
 
 
-def call_prefix_states(ens):
-    prefix_states(build_ansatz(2, 1, sigma=0.01, seed=0), ens, 3)
-
-
 def call_build_ensemble(ens):
     build_ensemble(ens, M=3, seed=0)
 
 
 @pytest.mark.parametrize("bad", [scaled, one_nan, one_zero])
 @pytest.mark.parametrize(
-    "entry", [call_prune, call_certify, call_d_q_per_state, call_prefix_states, call_build_ensemble]
+    "entry", [call_prune, call_certify, call_d_q_per_state, call_build_ensemble]
 )
 def test_entry_points_reject_invalid_states(entry, bad):
     with pytest.raises(ValueError, match="finite and unit-norm"):

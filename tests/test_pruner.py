@@ -26,30 +26,26 @@ class TestPartition:
     @pytest.mark.parametrize("n,depth,groups", [(8, 12, 96), (4, 12, 48)])
     def test_benchmark_group_counts(self, n, depth, groups):
         circ = build_ansatz(n, depth, sigma=0.001, seed=0)
-        part = partition(circ)
-        assert len(part.groups) == groups
-        assert all(len(g) == 5 for g in part.groups)
+        assert len(partition(circ)) == groups
+        assert all(len(g) == 5 for g in partition(circ))
 
     def test_members_share_qubit_and_layer(self):
         circ = build_ansatz(3, 2, sigma=0.01, seed=1)
-        part = partition(circ)
-        for group in part.groups:
+        for group in partition(circ):
             qubits = {circ.gates[i].qubit for i in group}
             layers = {circ.gates[i].layer for i in group}
             assert len(qubits) == 1 and len(layers) == 1
 
     def test_groups_disjoint_and_cover_rot_gates(self):
         circ = build_ansatz(2, 3, sigma=0.01, seed=2)
-        part = partition(circ)
-        seen = [i for g in part.groups for i in g]
-        assert sorted(seen) == sorted(g.id for g in circ.rot_gates())
+        seen = [i for g in partition(circ) for i in g]
+        assert sorted(seen) == [g.id for g in circ.gates if g.kind == ROT]
         assert len(seen) == len(set(seen))
 
     def test_default_reference_is_smallest_id(self):
         circ = build_ansatz(2, 2, sigma=0.01, seed=3)
-        part = partition(circ)
-        for gi, group in enumerate(part.groups):
-            assert part.reference[gi] == min(group)
+        for group in partition(circ):
+            assert group[0] == min(group)
 
     def test_no_rot_gates_rejected(self):
         circ = Circuit(2, 1, (Gate(id=0, kind=CNOT, layer=0, slot=0, control=0, target=1),))
@@ -79,7 +75,7 @@ class TestSelectReference:
     @staticmethod
     def _prune_wide(circ, ens, geo):
         wide = Tolerance(delta=0.0, epsilon_q=math.pi / 2, rule="half_delta_rule")
-        return prune(circ, partition(circ), ens, geo, wide, mode="pairwise_medoid")
+        return prune(circ, ens, geo, wide, mode="pairwise_medoid")
 
     def test_duplicate_pair_wins(self):
         # two identical gates among three scattered ones: the duplicates'
@@ -114,7 +110,7 @@ class TestPrune:
         geo = build_geometry(2, math.exp(0.03))
         ens = ensemble(2, 8, 4)
         tol = calibrate_epsilon(0.01, geo)
-        pruned, report = prune(circ, partition(circ), ens, geo, tol)
+        pruned, report = prune(circ, ens, geo, tol)
         assert report.replace_pct == 80.0
         assert report.dq_max_replaced == 0.0
         assert report.violations == 0
@@ -125,14 +121,14 @@ class TestPrune:
         circ = build_ansatz(2, 2, sigma=0.0, seed=5)
         geo = build_geometry(2, math.exp(0.03))
         tol = calibrate_epsilon(0.01, geo)
-        _, report = prune(circ, partition(circ), ensemble(2, 6, 5), geo, tol, max_replace_per_group=3)
+        _, report = prune(circ, ensemble(2, 6, 5), geo, tol, max_replace_per_group=3)
         assert report.replace_pct == 60.0
 
     def test_zero_epsilon_keeps_everything_distinct(self):
         circ = build_ansatz(2, 2, sigma=0.05, seed=6)
         geo = build_geometry(2, 1.0)
         tol = Tolerance(delta=0.0, epsilon_q=0.0, rule="half_delta_rule")
-        pruned, report = prune(circ, partition(circ), ensemble(2, 6, 6), geo, tol)
+        pruned, report = prune(circ, ensemble(2, 6, 6), geo, tol)
         assert report.L == 0 and report.replaced == ()
         assert report.rhs_raw == 0.0 and report.rhs_clip == 0.0
         assert pruned == circ
@@ -141,12 +137,11 @@ class TestPrune:
         circ = build_ansatz(3, 2, sigma=0.02, seed=7)
         geo = build_geometry(3, math.exp(0.03))
         tol = calibrate_epsilon(0.01, geo)
-        _, report = prune(circ, partition(circ), ensemble(3, 8, 7), geo, tol)
+        _, report = prune(circ, ensemble(3, 8, 7), geo, tol)
         assert report.violations == 0
         for gid in report.replaced:
             assert report.dq_values[gid] <= tol.epsilon_q
-        part = partition(circ)
-        references = set(part.reference.values())
+        references = {group[0] for group in partition(circ)}
         for gid in report.kept:
             if gid not in references:
                 # uncapped run: every kept non-reference gate failed the test
@@ -154,34 +149,33 @@ class TestPrune:
 
     def test_comparison_counts(self):
         circ = build_ansatz(3, 2, sigma=0.01, seed=8)
-        part = partition(circ)
+        groups = partition(circ)
         geo = build_geometry(3, 1.0)
         ens = ensemble(3, 5, 8)
         tol = calibrate_epsilon(0.01, geo)
-        _, ref = prune(circ, part, ens, geo, tol, mode="reference_only")
-        n_rot, r = circ.n_rot, len(part.groups)
+        _, ref = prune(circ, ens, geo, tol, mode="reference_only")
+        n_rot, r = circ.n_rot, len(groups)
         assert ref.comparisons == n_rot - r
         assert ref.selection_comparisons == 0
-        _, med = prune(circ, part, ens, geo, tol, mode="pairwise_medoid")
+        _, med = prune(circ, ens, geo, tol, mode="pairwise_medoid")
         assert med.comparisons == n_rot - r
-        assert med.selection_comparisons == sum(len(g) * (len(g) - 1) // 2 for g in part.groups)
+        assert med.selection_comparisons == sum(len(g) * (len(g) - 1) // 2 for g in groups)
 
     def test_determinism(self):
         circ = build_ansatz(2, 2, sigma=0.01, seed=9)
         geo = build_geometry(2, math.exp(0.03))
         ens = ensemble(2, 5, 9)
         tol = calibrate_epsilon(0.02, geo)
-        out1 = prune(circ, partition(circ), ens, geo, tol)
-        out2 = prune(circ, partition(circ), ens, geo, tol)
+        out1 = prune(circ, ens, geo, tol)
+        out2 = prune(circ, ens, geo, tol)
         assert out1 == out2
 
     def test_replaced_gates_carry_reference_angles(self):
         circ = build_ansatz(2, 1, sigma=0.001, seed=10)
-        part = partition(circ)
         geo = build_geometry(2, 1.0)
         tol = calibrate_epsilon(0.02, geo)
-        pruned, report = prune(circ, part, ensemble(2, 5, 10), geo, tol)
-        ref_by_group = {gid: part.reference[gi] for gi, grp in enumerate(part.groups) for gid in grp}
+        pruned, report = prune(circ, ensemble(2, 5, 10), geo, tol)
+        ref_by_group = {gid: grp[0] for grp in partition(circ) for gid in grp}
         for gid in report.replaced:
             assert pruned.gates[gid].angles == circuit_gate_angles(circ, ref_by_group[gid])
 
@@ -189,7 +183,7 @@ class TestPrune:
         circ = build_ansatz(2, 1, sigma=0.01, seed=11)
         geo = build_geometry(2, 1.0)
         with pytest.raises(ValueError, match="mode"):
-            prune(circ, partition(circ), ensemble(2, 3, 11), geo, calibrate_epsilon(0.01, geo), mode="boom")
+            prune(circ, ensemble(2, 3, 11), geo, calibrate_epsilon(0.01, geo), mode="boom")
 
     @pytest.mark.parametrize("cap", [0, -2])
     def test_cap_validation(self, cap):
@@ -197,13 +191,13 @@ class TestPrune:
         geo = build_geometry(2, 1.0)
         tol = calibrate_epsilon(0.01, geo)
         with pytest.raises(ValueError, match="max_replace_per_group"):
-            prune(circ, partition(circ), ensemble(2, 3, 11), geo, tol, max_replace_per_group=cap)
+            prune(circ, ensemble(2, 3, 11), geo, tol, max_replace_per_group=cap)
 
     def test_dimension_validation(self):
         circ = build_ansatz(2, 1, sigma=0.01, seed=12)
         geo = build_geometry(3, 1.0)
         with pytest.raises(ValueError, match="dim"):
-            prune(circ, partition(circ), ensemble(2, 3, 12), geo, calibrate_epsilon(0.01, geo))
+            prune(circ, ensemble(2, 3, 12), geo, calibrate_epsilon(0.01, geo))
 
 
 def circuit_gate_angles(circ, gid):
@@ -215,7 +209,7 @@ class TestMerge:
         circ = build_ansatz(2, 1, sigma=0.0, seed=13)
         geo = build_geometry(2, 1.0)
         tol = calibrate_epsilon(0.01, geo)
-        pruned, report = prune(circ, partition(circ), ensemble(2, 4, 13), geo, tol)
+        pruned, report = prune(circ, ensemble(2, 4, 13), geo, tol)
         merged, removed = merge_adjacent_duplicates(pruned)
         # two blocks of five identical gates collapse to one gate each
         assert removed == 8
@@ -246,7 +240,7 @@ class TestCertify:
         geo = build_geometry(2, 1.0)
         tol = Tolerance(delta=0.0, epsilon_q=0.0, rule="half_delta_rule")
         ens = ensemble(2, 5, 16)
-        pruned, report = prune(circ, partition(circ), ens, geo, tol)
+        pruned, report = prune(circ, ens, geo, tol)
         cert = certify(report, circ, pruned, ens, z0_observable(2))
         assert cert.max_trace_distance == 0.0
         assert cert.max_obs_drift == 0.0
@@ -258,7 +252,7 @@ class TestCertify:
         geo = build_geometry(2, 1.0)
         tol = calibrate_epsilon(0.01, geo)
         ens = ensemble(2, 5, 17)
-        pruned, report = prune(circ, partition(circ), ens, geo, tol)
+        pruned, report = prune(circ, ens, geo, tol)
         cert = certify(report, circ, pruned, ens, z0_observable(2))
         assert cert.max_trace_distance == 0.0
         assert cert.passed
@@ -270,7 +264,7 @@ class TestCertify:
         geo = build_geometry(2, math.exp(0.03))
         tol = calibrate_epsilon(0.02, geo)
         ens = ensemble(2, 6, 18)
-        pruned, report = prune(circ, partition(circ), ens, geo, tol)
+        pruned, report = prune(circ, ens, geo, tol)
         assert report.L > 0
         u_orig = circuit_unitary(circ, compile_gate)
         u_pruned = circuit_unitary(pruned, compile_gate)
@@ -286,18 +280,17 @@ class TestCertify:
         # with eps_state measured at the replacement site (q = 1 premise)
         from dataclasses import replace as dc_replace
 
-        from qiprune.circuit import prefix_states
+        from qiprune.circuit import apply_gate_sequence
         from qiprune.linalg import pure_trace_distance
         from qiprune.qmetric import d_q_per_state
 
         circ = build_ansatz(2, 2, sigma=0.02, seed=22)
         geo = build_geometry(2, 1.0)
         ens = ensemble(2, 6, 22)
-        part = partition(circ)
-        group = part.groups[1]
-        ref_gate = circ.gates[part.reference[1]]
+        group = partition(circ)[1]
+        ref_gate = circ.gates[group[0]]
         target = circ.gates[group[2]]
-        site_prefix = prefix_states(circ, ens, target.id)
+        site_prefix = apply_gate_sequence(ens, circ.gates[: target.id], 2)
         terms = d_q_per_state(
             compile_gate(ref_gate), compile_gate(target), site_prefix, geo, wires=[target.qubit]
         )
@@ -309,6 +302,29 @@ class TestCertify:
             assert td <= 2.0 * math.sin(float(np.max(terms))) + 1e-9
             assert td <= 2.0 * math.sin(terms[k]) + 1e-9
 
+    # The two known soundness defects of the drift certificate: a one-qubit
+    # block of five Rot gates, q = 1 and delta = 0.01 (epsilon 0.005), where
+    # the bound 2 L sin(eps) is 0.0400 for L = 4 but the outputs drift further.
+    @pytest.mark.xfail(strict=True, reason="members are scored on the block's entry states, not at their own site")
+    def test_certificate_holds_when_members_act_on_earlier_members_output(self):
+        circ = _single_block_circuit([(0.3 * slot, math.pi / 2, 0.0) for slot in range(5)])
+        geo = build_geometry(1, 1.0)
+        ens = np.array([[1.0, 0.0]], dtype=complex)
+        pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.01, geo))
+        cert = certify(report, circ, pruned, ens, z0_observable(1))
+        # observed: L = 4, max trace distance 0.656 against 0.0400
+        assert cert.passed
+
+    @pytest.mark.xfail(strict=True, reason="decisions use the ensemble-mean d, the bound needs every per-state d")
+    def test_certificate_holds_when_one_state_exceeds_epsilon(self):
+        circ = _single_block_circuit([(0.0, 0.0, 0.0)] + [(0.0199, 0.0, 0.0)] * 4)
+        geo = build_geometry(1, 1.0)
+        ens = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]], dtype=complex)
+        pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.01, geo))
+        cert = certify(report, circ, pruned, ens, z0_observable(1))
+        # observed: mean d 0.004975 <= eps, per-state max 0.00995; TD 0.0796 against 0.0400
+        assert cert.passed
+
     def test_bounds_hold_on_random_runs(self):
         rng = np.random.default_rng(19)
         for trial in range(10):
@@ -318,7 +334,7 @@ class TestCertify:
             geo = build_geometry(n, math.exp(0.03))
             tol = calibrate_epsilon(float(rng.uniform(0.005, 0.05)), geo)
             ens = ensemble(n, 6, 100 + trial)
-            pruned, report = prune(circ, partition(circ), ens, geo, tol)
+            pruned, report = prune(circ, ens, geo, tol)
             cert = certify(report, circ, pruned, ens, z0_observable(n))
             assert cert.max_trace_distance <= cert.trace_bound + 1e-9
             assert cert.max_obs_drift <= cert.obs_bound + 1e-9
@@ -330,7 +346,7 @@ class TestCertify:
         circ = build_ansatz(n, 2, sigma=0.02, seed=24)
         geo = build_geometry(n, 1.0)
         ens = ensemble(n, 6, 24)
-        pruned, report = prune(circ, partition(circ), ens, geo, calibrate_epsilon(0.05, geo))
+        pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.05, geo))
         assert report.L > 0
         rng = np.random.default_rng(24)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -349,7 +365,7 @@ class TestCertify:
         geo = build_geometry(2, 1.0)
         tol = calibrate_epsilon(0.01, geo)
         ens = ensemble(2, 3, 20)
-        pruned, report = prune(circ, partition(circ), ens, geo, tol)
+        pruned, report = prune(circ, ens, geo, tol)
         other = build_ansatz(3, 1, sigma=0.01, seed=20)
         with pytest.raises(ValueError, match="do not match"):
             certify(report, other, pruned, ens, z0_observable(3))
@@ -361,7 +377,7 @@ def test_report_json_dict_round_trips_through_json():
     circ = build_ansatz(2, 1, sigma=0.01, seed=21)
     geo = build_geometry(2, 1.0)
     tol = calibrate_epsilon(0.01, geo)
-    _, report = prune(circ, partition(circ), ensemble(2, 4, 21), geo, tol)
+    _, report = prune(circ, ensemble(2, 4, 21), geo, tol)
     doc = json.loads(json.dumps(report.to_json_dict()))
     assert doc["L"] == report.L
     assert doc["replace_pct"] == report.replace_pct
@@ -386,7 +402,7 @@ def test_record_schemas_pinned():
     circ = build_ansatz(2, 1, sigma=0.01, seed=22)
     geo = build_geometry(2, 1.0)
     ens = ensemble(2, 4, 22)
-    pruned, report = prune(circ, partition(circ), ens, geo, calibrate_epsilon(0.01, geo))
+    pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.01, geo))
     doc = report.to_json_dict()
     assert len(REPORT_KEYS) == 24 and set(doc) == REPORT_KEYS
     assert doc["dq_values"] and all(isinstance(k, str) for k in doc["dq_values"])

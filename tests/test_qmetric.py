@@ -14,11 +14,8 @@ from qiprune.qmetric import (
     d_q_per_state,
     drift_rhs,
     q_inner,
-    q_norm_sq,
-    q_weighted_param_norm,
     statewise_deviation_bound,
 )
-from qiprune.qalgebra import q_number
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -282,23 +279,6 @@ class TestStatewiseBound:
             assert drift <= op_norm * 2.0 * math.sin(eps) + 1e-9
 
 
-class TestQWeightedParamNorm:
-    def test_identical(self):
-        assert q_weighted_param_norm([0.3, -0.4, 1.0], [0.3, -0.4, 1.0], 2.0) == 0.0
-
-    def test_first_coordinate_weight_is_one(self):
-        for q in (0.5, 1.0, 3.0):
-            assert q_weighted_param_norm([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], q) == pytest.approx(1.0)
-
-    def test_second_coordinate_q2(self):
-        expected = math.sqrt(q_number(2.0, 2.0))
-        assert q_weighted_param_norm([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], 2.0) == pytest.approx(expected)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            q_weighted_param_norm([1.0], [1.0, 2.0], 1.0)
-
-
 def test_per_state_terms_mean_equals_dq():
     rng = np.random.default_rng(41)
     geo = build_geometry(2, 1.4)
@@ -307,14 +287,6 @@ def test_per_state_terms_mean_equals_dq():
     terms = d_q_per_state(u, v, ens, geo)
     assert terms.shape == (7,)
     assert d_q(u, v, ens, geo) == pytest.approx(float(np.mean(terms)), abs=1e-15)
-
-
-def test_q_norm_sq_is_weighted_self_overlap():
-    rng = np.random.default_rng(43)
-    geo = build_geometry(2, 1.8)
-    psi = random_state(2, rng)
-    assert q_norm_sq(psi, geo) == pytest.approx(np.real(q_inner(psi, psi, geo)), abs=1e-14)
-    assert geo.m_q - 1e-12 <= q_norm_sq(psi, geo) <= geo.M_q + 1e-12
 
 
 def test_tolerance_is_plain_record():
