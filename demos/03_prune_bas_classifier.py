@@ -2,7 +2,7 @@
 sample the candidate pools, prune with the ensemble-average distance, and
 check the drift certificate.
 
-Run:  python demos/03_prune_bas_classifier.py    (about half a minute)
+Run:  python demos/03_prune_bas_classifier.py    (a few seconds)
 """
 
 import math

@@ -1,7 +1,7 @@
 """Pruning a TFIM VQE ansatz with an ensemble sampled from the optimization
 trajectory, certified against the energy-drift bound.
 
-Run:  python demos/04_prune_tfim_vqe.py    (about half a minute)
+Run:  python demos/04_prune_tfim_vqe.py    (a few seconds)
 """
 
 import math
@@ -32,7 +32,7 @@ print(f"TFIM open chain, n={N}, J=1, g=1; exact ground energy {ground:.4f}")
 
 circ0 = build_ansatz(N, DEPTH, sigma=0.0, seed=SEED)
 vqe = run_vqe(spec, circ0, iters=25, lr=0.1)
-print(f"VQE: 25 parameter-shift iterations, energy {vqe.energies[0]:.4f} -> {vqe.energies[-1]:.4f}")
+print(f"VQE: 25 gradient-descent iterations (adjoint gradients), energy {vqe.energies[0]:.4f} -> {vqe.energies[-1]:.4f}")
 print(f"trajectory snapshots recorded: {vqe.snapshots.shape[0]}")
 
 ensemble = build_ensemble(vqe, M=50, seed=SEED)

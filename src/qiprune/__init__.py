@@ -2,7 +2,7 @@
 quantum circuits, with deformed-overlap redundancy detection and analytic
 drift certificates."""
 
-from .linalg import apply_gate, operator_norm, pure_trace_distance
+from .linalg import operator_norm, pure_trace_distance
 from .qalgebra import (
     DeformationParams,
     SuqGenerators,
@@ -53,7 +53,6 @@ from .verify import CheckResult, check_all, regress_tables
 __version__ = "0.1.0"
 
 __all__ = [
-    "apply_gate",
     "operator_norm",
     "pure_trace_distance",
     "DeformationParams",

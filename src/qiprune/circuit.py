@@ -77,6 +77,17 @@ def rot_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz(gamma) @ ry(beta) @ rz(alpha)
 
 
+def rot_derivatives(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d rot_matrix / d(alpha, beta, gamma); each factor's generator is -i sigma / 2."""
+    z_alpha, y_beta, z_gamma = rz(alpha), ry(beta), rz(gamma)
+    dz, dy = np.diag([-0.5j, 0.5j]), np.array([[0.0, -0.5], [0.5, 0.0]])
+    return (
+        z_gamma @ y_beta @ (dz @ z_alpha),
+        z_gamma @ (dy @ y_beta) @ z_alpha,
+        (dz @ z_gamma) @ y_beta @ z_alpha,
+    )
+
+
 def zyz_angles(mat: np.ndarray) -> tuple[float, float, float]:
     """Euler angles (alpha, beta, gamma) with rot_matrix(...) == mat for det-1 matrices."""
     a00, a10 = mat[0, 0], mat[1, 0]

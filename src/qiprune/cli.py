@@ -118,12 +118,13 @@ class RunConfig:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        for name in ("depth", "M", "max_replace_per_group"):
+        for name, low in (
+            ("depth", 1), ("M", 1), ("max_replace_per_group", 1), ("train_batch", 1),
+            ("max_train_samples", 1), ("seed", 0), ("train_epochs", 0), ("vqe_iters", 0),
+        ):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.epsilon_rule not in EPSILON_RULES:
             raise ConfigError(
                 f"unknown epsilon rule {self.epsilon_rule!r} (expected one of {EPSILON_RULES})"

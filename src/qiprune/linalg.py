@@ -129,12 +129,6 @@ def _basis_permutation(local: tuple[int, ...], wires: tuple[int, ...], n_qubits:
     return perm
 
 
-def apply_gate(state: np.ndarray, gate_matrix: np.ndarray, wires: list[int]) -> np.ndarray:
-    """Apply a gate on the given wires of a single state vector."""
-    n = n_qubits_of(state)
-    return apply_matrix(np.asarray(state, dtype=complex), np.asarray(gate_matrix, dtype=complex), list(wires), n)
-
-
 def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
     """Trace distance ||phi><phi| - |psi><psi||_1 = 2 sqrt(1 - |<phi|psi>|^2).
 

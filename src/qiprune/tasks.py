@@ -3,14 +3,14 @@
 Classification margins are <Z> on qubit 0; a sample is predicted +1 when the
 margin is >= 0. Training optimizes the per-block center angles of the ansatz
 (all five block members share the center during training, i.e. sigma = 0)
-with plain gradient descent; gradients come from the exact two-term
-parameter-shift rule applied to every elementary rotation occurrence.
+with plain gradient descent; gradients come from one adjoint sweep (a
+forward pass, then a reverse pass that un-applies each gate), about 3 kernel
+calls per gate.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +25,7 @@ from .circuit import (
     build_ansatz,
     compile_gate,
     expectation,
-    rot_matrix,
+    rot_derivatives,
     run,
 )
 from .linalg import apply_matrix, as_ensemble, n_qubits_of, operator_norm
@@ -262,64 +262,41 @@ def margins(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     return z0_expectation(run(circuit, states))
 
 
-def evaluate_classifier(circuit: Circuit, data: EncodedDataset, split: str = "validation") -> float:
-    """Accuracy of sign(<Z0>) against labels; a zero margin predicts +1."""
+def evaluate_classifier(circuit: Circuit, data: EncodedDataset) -> float:
+    """Validation accuracy of sign(<Z0>) against labels; a zero margin predicts +1."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if split == "validation":
-        sel = data.val_idx
-    elif split == "train":
-        sel = data.train_idx
-    elif split == "all":
-        sel = np.arange(len(data))
-    else:
-        raise ValueError(f"unknown split {split!r}")
+    sel = data.val_idx
     m = margins(circuit, data.states[sel])
     pred = np.where(m >= 0.0, 1, -1)
     return float(np.mean(pred == data.labels[sel]))
 
 
-def _expectations_and_grads(circuit: Circuit, states: np.ndarray, expect_fn):
-    """Per-sample expectations and parameter-shift gradients for every Rot angle.
+def _expectations_and_grads(circuit: Circuit, states: np.ndarray, observe):
+    """Per-sample expectations <O> and their gradients with respect to the block centers.
 
-    Each elementary ZYZ rotation has half-integer generator spectrum, so the
-    exact derivative is (E(theta + pi/2) - E(theta - pi/2)) / 2. One forward
-    walk over the gates: at each Rot gate the six shifted variants branch off
-    the current state and run through the suffix as one batch.
+    `observe` applies the observable O to a batch of states. Adjoint sweep:
+    after one forward pass, every gate is un-applied in reverse order from
+    both psi and lambda = O psi; at each Rot gate the three ZYZ angles add
+    2 Re <lambda|dU psi> to their block center. About 3 kernel calls per gate.
 
-    Returns (values (B,), grads (n_rot, 3, B), rot_positions, final_states).
+    Returns (values (B,), grads (n_qubits, depth, 3, B), final_states).
     """
-    gates = circuit.gates
     n = circuit.n_qubits
-    rot_positions = [pos for pos, g in enumerate(gates) if g.kind == ROT]
-    grads = np.zeros((len(rot_positions), 3) + states.shape[:-1])
-    cur = states
-    idx = 0
-    for pos, g in enumerate(gates):
+    final = apply_gate_sequence(states, circuit.gates, n)
+    lam = observe(final)
+    values = np.real(np.sum(np.conj(final) * lam, axis=-1))
+    grads = np.zeros((n, circuit.depth, 3) + states.shape[:-1])
+    psi = final
+    for g in reversed(circuit.gates):
+        inverse = compile_gate(g).conj().T
+        psi = apply_matrix(psi, inverse, g.wires(), n)
         if g.kind == ROT:
-            variants = np.empty((6,) + cur.shape, dtype=complex)
-            k = 0
-            for a in range(3):
-                for sign in (1.0, -1.0):
-                    shifted = list(g.angles)
-                    shifted[a] += sign * math.pi / 2.0
-                    variants[k] = apply_matrix(cur, rot_matrix(*shifted), [g.qubit], n)
-                    k += 1
-            ev = expect_fn(apply_gate_sequence(variants, gates[pos + 1 :], n))
-            for a in range(3):
-                grads[idx, a] = 0.5 * (ev[2 * a] - ev[2 * a + 1])
-            idx += 1
-        cur = apply_matrix(cur, compile_gate(g), g.wires(), n)
-    return expect_fn(cur), grads, rot_positions, cur
-
-
-def _center_gradient(circuit: Circuit, rot_positions, grads, coeff: np.ndarray) -> np.ndarray:
-    """Accumulate per-occurrence gradients onto block centers, averaged over samples."""
-    out = np.zeros((circuit.n_qubits, circuit.depth, 3))
-    for idx, pos in enumerate(rot_positions):
-        g = circuit.gates[pos]
-        out[g.qubit, g.layer] += grads[idx] @ coeff / coeff.shape[0]
-    return out
+            for a, deriv in enumerate(rot_derivatives(*g.angles)):
+                d_psi = apply_matrix(psi, deriv, [g.qubit], n)
+                grads[g.qubit, g.layer, a] += 2.0 * np.real(np.sum(np.conj(lam) * d_psi, axis=-1))
+        lam = apply_matrix(lam, inverse, g.wires(), n)
+    return values, grads, final
 
 
 def train_classifier(
@@ -348,18 +325,19 @@ def train_classifier(
         idx = np.sort(rng.choice(idx, size=max_train_samples, replace=False))
     states = data.states[idx]
     labels = data.labels[idx].astype(float)
+    zdiag = z0_diagonal(n)
     bs = batch_size or idx.size
     for _ in range(epochs):
         order = rng.permutation(idx.size)
         for start in range(0, idx.size, bs):
             sel = order[start : start + bs]
             c = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
-            m, grads, rot_pos, _ = _expectations_and_grads(c, states[sel], z0_expectation)
+            m, grads, _ = _expectations_and_grads(c, states[sel], lambda phi: zdiag * phi)
             if not np.all(np.isfinite(m)):
                 raise RuntimeError("training diverged: non-finite margins")
             y = labels[sel]
             coeff = np.where(1.0 - y * m > 0.0, -y, 0.0)
-            centers -= lr * _center_gradient(c, rot_pos, grads, coeff)
+            centers -= lr * (grads @ coeff) / len(sel)
     return build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
 
 
@@ -413,9 +391,6 @@ def run_vqe(
     ham = spec.hamiltonian
     state0 = zero_state(n)
 
-    def expect(phi):
-        return np.real(np.einsum("...i,ij,...j->...", np.conj(phi), ham, phi))
-
     def energy_at(c: np.ndarray) -> float:
         return vqe_energy(build_ansatz(n, depth, centers=c, sigma=0.0, seed=0), spec)
 
@@ -426,13 +401,13 @@ def run_vqe(
     snaps: list[np.ndarray] = []
     for t in range(iters):
         c = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
-        e, grads, rot_pos, final = _expectations_and_grads(c, state0[None], expect)
+        e, grads, final = _expectations_and_grads(c, state0[None], lambda phi: phi @ ham.T)
         if not np.isfinite(e[0]):
             raise RuntimeError("VQE diverged: non-finite energy")
         energies.append(float(e[0]))
         if t in snap_iters:
             snaps.append(final[0])
-        direction = _center_gradient(c, rot_pos, grads, np.ones(1))
+        direction = grads[..., 0]
         step = lr
         trial = centers - step * direction
         for _ in range(max_backtracks):

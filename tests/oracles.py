@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own tensor-contraction
 machinery: gates are embedded with explicit Kronecker products and circuits
 are multiplied out as full-dimension unitaries, so tests compare two
 genuinely different computation paths. The one exception is
-`checkpointed_expectations_and_grads`, a bitwise reference that shares the
-package's kernel on purpose.
+`checkpointed_expectations_and_grads`, the parameter-shift reference for the
+package's adjoint gradients: it shares the package's kernel, so its forward
+pass matches bit for bit, while values and gradients are compared at 1e-12.
 """
 
 import math
@@ -57,12 +58,15 @@ def cnot_ring_bits(bits: list[int]) -> list[int]:
 
 
 def checkpointed_expectations_and_grads(circuit, states, expect_fn):
-    """Layer-checkpointed parameter-shift walk, the reference for
+    """Layer-checkpointed parameter-shift gradients, the reference for
     `tasks._expectations_and_grads`.
 
-    Each Rot gate's prefix is rebuilt from the state at the start of its
-    layer with the same kernel calls in the same order as the single forward
-    walk, so the two must agree bit for bit.
+    Each elementary ZYZ rotation has half-integer generator spectrum, so the
+    exact derivative is (E(theta + pi/2) - E(theta - pi/2)) / 2. Each Rot
+    gate's prefix is rebuilt from the state at the start of its layer, and
+    its six shifted variants run through the suffix as one batch.
+
+    Returns (values (B,), grads (n_rot, 3, B), rot_positions, final_states).
     """
     gates = circuit.gates
     n = circuit.n_qubits

@@ -12,6 +12,7 @@ from qiprune.circuit import (
     build_ansatz,
     compile_gate,
     expectation,
+    rot_derivatives,
     rot_matrix,
     run,
     zyz_angles,
@@ -45,6 +46,17 @@ class TestCompileGate:
         for _ in range(1000):
             a, b, c = rng.uniform(-math.pi, math.pi, size=3)
             assert unitarity_deviation(rot_matrix(a, b, c)) <= 1e-10
+
+    def test_rot_derivatives_match_central_differences(self):
+        # oracle: (rot_matrix(angle + h) - rot_matrix(angle - h)) / 2h per angle
+        rng = np.random.default_rng(4)
+        h = 1e-6
+        for _ in range(50):
+            angles = rng.uniform(-math.pi, math.pi, size=3)
+            for a, deriv in enumerate(rot_derivatives(*angles)):
+                step = h * np.eye(3)[a]
+                fd = (rot_matrix(*(angles + step)) - rot_matrix(*(angles - step))) / (2 * h)
+                np.testing.assert_allclose(deriv, fd, atol=1e-9)
 
 
 class TestBuildAnsatz:

@@ -81,12 +81,34 @@ class TestRunConfig:
             ({"depth": 0}, "depth"),
             ({"M": 0}, "M must"),
             ({"seed": -1}, "seed must"),
+            ({"train_epochs": -1}, "train_epochs must"),
+            ({"vqe_iters": -3}, "vqe_iters must"),
+            ({"train_batch": 0}, "train_batch must"),
+            ({"train_batch": -4}, "train_batch must"),
+            ({"max_train_samples": 0}, "max_train_samples must"),
         ],
-        ids=["mode", "epsilon_rule", "cap_negative", "cap_zero", "depth", "M", "seed_negative"],
+        ids=[
+            "mode", "epsilon_rule", "cap_negative", "cap_zero", "depth", "M", "seed_negative",
+            "train_epochs_negative", "vqe_iters_negative", "train_batch_zero", "train_batch_negative",
+            "max_train_samples_zero",
+        ],
     )
     def test_out_of_range_knobs_rejected(self, knob, match):
         with pytest.raises(ConfigError, match=match):
             RunConfig(task="bas", **knob)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--train-epochs", "-1"], ["--vqe-iters", "-3"], ["--train-batch", "0"], ["--max-train-samples", "0"]],
+        ids=["train_epochs", "vqe_iters", "train_batch", "max_train_samples"],
+    )
+    def test_out_of_range_training_knob_is_usage_error_before_training(self, flags, no_training, capsys):
+        assert main(["prune", "--task", "bas", *flags]) == 2
+        assert f"{flags[0][2:].replace('-', '_')} must be >= " in capsys.readouterr().err
+
+    def test_zero_epochs_and_iterations_stay_valid(self):
+        RunConfig(task="mnist49", train_epochs=0)
+        RunConfig(task="tfim", vqe_iters=0)
 
     @pytest.mark.parametrize(
         "knob",

@@ -1,5 +1,5 @@
-"""The quick demos run end to end as scripts (demos 03 and 04 train and take
-tens of seconds, so they are run by hand)."""
+"""Every demo runs end to end as a script; demos 03 and 04 train a baseline
+(adjoint gradients) and take a few seconds each."""
 
 import os
 import subprocess
@@ -12,7 +12,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "script", ["01_deformed_algebra.py", "02_overlap_geometry.py", "05_verification_suite.py"]
+    "script",
+    [
+        "01_deformed_algebra.py",
+        "02_overlap_geometry.py",
+        "03_prune_bas_classifier.py",
+        "04_prune_tfim_vqe.py",
+        "05_verification_suite.py",
+    ],
 )
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ)

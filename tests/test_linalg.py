@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qiprune.linalg import (
-    apply_gate,
     apply_matrix,
     haar_unitary,
     n_qubits_of,
@@ -30,15 +29,15 @@ class TestApplyGate:
         rng = np.random.default_rng(7)
         psi = random_state(3, rng)
         for wire in range(3):
-            out = apply_gate(psi, np.eye(2, dtype=complex), [wire])
+            out = apply_matrix(psi, np.eye(2, dtype=complex), [wire], 3)
             np.testing.assert_allclose(out, psi, atol=1e-14)
 
     def test_x_on_qubit0_flips_most_significant_bit(self):
-        out = apply_gate(basis(2, 0b00), X, [0])
+        out = apply_matrix(basis(2, 0b00), X, [0], 2)
         np.testing.assert_allclose(out, basis(2, 0b10), atol=1e-14)
 
     def test_hadamard_on_single_qubit(self):
-        out = apply_gate(basis(1, 0), H, [0])
+        out = apply_matrix(basis(1, 0), H, [0], 1)
         np.testing.assert_allclose(out, np.array([1, 1]) / math.sqrt(2), atol=1e-14)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
@@ -49,15 +48,15 @@ class TestApplyGate:
             k = int(rng.integers(1, min(n, 2) + 1))
             wires = list(rng.choice(n, size=k, replace=False))
             psi = random_state(n, rng)
-            out = apply_gate(psi, haar_unitary(1 << k, rng), wires)
+            out = apply_matrix(psi, haar_unitary(1 << k, rng), wires, n)
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
     def test_disjoint_wires_commute(self):
         rng = np.random.default_rng(3)
         psi = random_state(2, rng)
         a, b = haar_unitary(2, rng), haar_unitary(2, rng)
-        ab = apply_gate(apply_gate(psi, a, [0]), b, [1])
-        ba = apply_gate(apply_gate(psi, b, [1]), a, [0])
+        ab = apply_matrix(apply_matrix(psi, a, [0], 2), b, [1], 2)
+        ba = apply_matrix(apply_matrix(psi, b, [1], 2), a, [0], 2)
         np.testing.assert_allclose(ab, ba, atol=1e-10)
 
     def test_matches_kron_embedding_oracle(self):
@@ -93,11 +92,11 @@ class TestApplyGate:
     def test_errors(self):
         psi = basis(2, 0)
         with pytest.raises(ValueError, match="does not match"):
-            apply_gate(psi, np.eye(4, dtype=complex), [0])
+            apply_matrix(psi, np.eye(4, dtype=complex), [0], 2)
         with pytest.raises(ValueError, match="out of range"):
-            apply_gate(psi, X, [2])
+            apply_matrix(psi, X, [2], 2)
         with pytest.raises(ValueError, match="distinct"):
-            apply_gate(psi, np.eye(4, dtype=complex), [0, 0])
+            apply_matrix(psi, np.eye(4, dtype=complex), [0, 0], 2)
         with pytest.raises(ValueError, match="power of two"):
             n_qubits_of(np.zeros(3))
 

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from qiprune.circuit import Circuit, build_ansatz, run
+from qiprune.circuit import ROT, Circuit, build_ansatz, run
 from qiprune.linalg import operator_norm, random_state
 from qiprune.tasks import (
     EncodedDataset,
@@ -241,49 +241,99 @@ class TestClassifierEvaluation:
             evaluate_classifier(Circuit(1, 1, ()), empty)
 
 
+def summed_onto_centers(circuit, grads, rot_positions):
+    """Per-occurrence oracle gradients (n_rot, 3, B) summed onto (qubit, layer)."""
+    out = np.zeros((circuit.n_qubits, circuit.depth) + grads.shape[1:])
+    for idx, pos in enumerate(rot_positions):
+        g = circuit.gates[pos]
+        out[g.qubit, g.layer] += grads[idx]
+    return out
+
+
 class TestParameterShift:
+    """The adjoint gradients against the parameter-shift reference in `oracles`."""
+
     def test_gradient_matches_finite_differences(self):
-        # oracle: central differences on full forward passes
+        # oracle: central differences on full forward passes, all five block
+        # members shifted together, which is what moving the block center does
         from dataclasses import replace as dc_replace
 
         circ = build_ansatz(2, 2, sigma=0.3, seed=2)
         rng = np.random.default_rng(5)
         states = np.array([random_state(2, rng) for _ in range(3)])
-        zdiag = z0_diagonal(2)
 
-        def expect(phi):
-            return np.sum(zdiag * np.abs(phi) ** 2, axis=-1)
-
-        values, grads, rot_pos, final = _expectations_and_grads(circ, states, expect)
-        np.testing.assert_allclose(values, expect(run(circ, states)), atol=1e-12)
+        values, grads, final = _expectations_and_grads(circ, states, lambda phi: z0_diagonal(2) * phi)
+        np.testing.assert_allclose(values, z0_expectation(run(circ, states)), atol=1e-12)
         np.testing.assert_allclose(final, run(circ, states), atol=1e-12)
 
         h = 1e-6
-        for idx in (0, 3, 11, len(rot_pos) - 1):
-            pos = rot_pos[idx]
+        for qubit, layer in itertools.product(range(2), range(2)):
             for a in range(3):
                 shifted = []
                 for sign in (+h, -h):
-                    ang = list(circ.gates[pos].angles)
-                    ang[a] += sign
-                    gates = list(circ.gates)
-                    gates[pos] = dc_replace(circ.gates[pos], angles=tuple(ang))
-                    shifted.append(expect(run(Circuit(2, 2, tuple(gates)), states)))
+                    step = sign * np.eye(3)[a]
+                    gates = tuple(
+                        dc_replace(g, angles=tuple(np.add(g.angles, step)))
+                        if g.kind == ROT and (g.qubit, g.layer) == (qubit, layer)
+                        else g
+                        for g in circ.gates
+                    )
+                    shifted.append(z0_expectation(run(Circuit(2, 2, gates), states)))
                 fd = (shifted[0] - shifted[1]) / (2 * h)
-                np.testing.assert_allclose(grads[idx, a], fd, atol=1e-6)
-
+                np.testing.assert_allclose(grads[qubit, layer, a], fd, atol=1e-6)
 
     @pytest.mark.parametrize("batch", [1, 7])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_forward_walk_bitwise_equals_checkpointed_reference(self, n, depth, batch):
+        # the forward pass is the reference's kernel sequence, so final states
+        # agree bit for bit; values and gradients take a different route (1e-12)
         circ = build_ansatz(n, depth, sigma=0.2, seed=10 * n + depth)
         rng = np.random.default_rng([n, depth, batch])
         states = np.array([random_state(n, rng) for _ in range(batch)])
-        got = _expectations_and_grads(circ, states, z0_expectation)
-        want = checkpointed_expectations_and_grads(circ, states, z0_expectation)
-        for name, g, w in zip(("values", "grads", "rot_positions", "final"), got, want):
-            assert np.array_equal(g, w), name
+        values, grads, final = _expectations_and_grads(circ, states, lambda phi: z0_diagonal(n) * phi)
+        want_values, want_grads, rot_positions, want_final = checkpointed_expectations_and_grads(
+            circ, states, z0_expectation
+        )
+        assert np.array_equal(final, want_final)
+        np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            grads, summed_onto_centers(circ, want_grads, rot_positions), rtol=0, atol=1e-12
+        )
+
+    def test_dense_observable_matches_reference(self):
+        ham = build_tfim(4).hamiltonian
+        circ = build_ansatz(4, 2, sigma=0.2, seed=3)
+        state = random_state(4, np.random.default_rng(8))[None]
+        values, grads, final = _expectations_and_grads(circ, state, lambda phi: phi @ ham.T)
+        want_values, want_grads, rot_positions, want_final = checkpointed_expectations_and_grads(
+            circ, state, lambda phi: np.real(np.einsum("...i,ij,...j->...", np.conj(phi), ham, phi))
+        )
+        assert np.array_equal(final, want_final)
+        np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            grads, summed_onto_centers(circ, want_grads, rot_positions), rtol=0, atol=1e-12
+        )
+
+    def test_kernel_calls_per_gradient(self, monkeypatch):
+        # adjoint sweep: G forward, 2G reverse (psi and lambda), 3 per Rot derivative;
+        # the parameter-shift walk it replaced made 9,684 calls on this circuit
+        import qiprune.circuit
+        import qiprune.tasks
+
+        calls = []
+        kernel = qiprune.tasks.apply_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        for module in (qiprune.circuit, qiprune.tasks):
+            monkeypatch.setattr(module, "apply_matrix", counted)
+        circ = build_ansatz(4, 6, sigma=0.0, seed=0)
+        states = generate_bas(4).states
+        _expectations_and_grads(circ, states, lambda phi: z0_diagonal(4) * phi)
+        assert len(calls) <= 3 * len(circ.gates) + 3 * circ.n_rot == 792
 
 
 class TestTrainClassifier:
