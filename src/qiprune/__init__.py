@@ -25,7 +25,7 @@ from .qmetric import (
     q_inner,
     statewise_deviation_bound,
 )
-from .circuit import Circuit, Gate, build_ansatz, compile_gate, run
+from .circuit import Circuit, Gate, build_ansatz, compile_gate, fuse_blocks, run
 from .pruner import (
     CertificateRecord,
     PruneReport,
@@ -77,6 +77,7 @@ __all__ = [
     "Gate",
     "build_ansatz",
     "compile_gate",
+    "fuse_blocks",
     "run",
     "CertificateRecord",
     "PruneReport",

@@ -5,7 +5,9 @@ gates (the candidate pool) sampled around a per-block center, followed by a
 ring of CNOTs. Rot(alpha, beta, gamma) compiles to Rz(gamma) Ry(beta)
 Rz(alpha) (ZYZ, alpha applied first). Pool noise is drawn once per seed as
 unit normals and scaled by sigma, so sweeps over sigma with a fixed seed
-share the same perturbation directions.
+share the same perturbation directions. `fuse_blocks` joins each run of
+adjacent same-wire Rot gates into one Rot for output-only passes; `run`
+itself applies one kernel call per gate of the circuit it is given.
 """
 
 from __future__ import annotations
@@ -63,29 +65,35 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind == ROT)
 
 
-def rz(theta: float) -> np.ndarray:
-    return np.array([[cmath.exp(-0.5j * theta), 0], [0, cmath.exp(0.5j * theta)]], dtype=complex)
+def rot_matrix(alpha, beta, gamma) -> np.ndarray:
+    """ZYZ Euler rotation Rz(gamma) Ry(beta) Rz(alpha) in closed form; det = 1.
+
+    Diagonal entries e^{-+i(alpha+gamma)/2} cos(beta/2), off-diagonal
+    -+e^{+-i(alpha-gamma)/2} sin(beta/2). Angle arrays broadcast to a
+    (..., 2, 2) stack, so a whole circuit's Rot gates compile in one call.
+    """
+    alpha, beta, gamma = (np.asarray(x, dtype=float) for x in (alpha, beta, gamma))
+    e_sum = np.exp(-0.5j * (alpha + gamma))
+    e_diff = np.exp(0.5j * (alpha - gamma))
+    c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    out = np.empty(np.broadcast_shapes(e_sum.shape, c.shape) + (2, 2), dtype=complex)
+    out[..., 0, 0] = e_sum * c
+    out[..., 0, 1] = -e_diff * s
+    out[..., 1, 0] = e_diff.conj() * s
+    out[..., 1, 1] = e_sum.conj() * c
+    return out
 
 
-def ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def rot_derivatives(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d rot_matrix / d(alpha, beta, gamma); angle arrays broadcast as in rot_matrix.
 
-
-def rot_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """ZYZ Euler rotation Rz(gamma) Ry(beta) Rz(alpha); det = 1."""
-    return rz(gamma) @ ry(beta) @ rz(alpha)
-
-
-def rot_derivatives(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d rot_matrix / d(alpha, beta, gamma); each factor's generator is -i sigma / 2."""
-    z_alpha, y_beta, z_gamma = rz(alpha), ry(beta), rz(gamma)
-    dz, dy = np.diag([-0.5j, 0.5j]), np.array([[0.0, -0.5], [0.5, 0.0]])
-    return (
-        z_gamma @ y_beta @ (dz @ z_alpha),
-        z_gamma @ (dy @ y_beta) @ z_alpha,
-        (dz @ z_gamma) @ y_beta @ z_alpha,
-    )
+    The Z generator -i Z / 2 multiplies from the right for alpha (applied
+    first) and from the left for gamma; d/dbeta is rot_matrix at beta + pi,
+    halved.
+    """
+    mat = rot_matrix(alpha, beta, gamma)
+    dz = np.diag([-0.5j, 0.5j])
+    return mat @ dz, 0.5 * rot_matrix(alpha, beta + math.pi, gamma), dz @ mat
 
 
 def zyz_angles(mat: np.ndarray) -> tuple[float, float, float]:
@@ -181,6 +189,63 @@ def block_centers(circuit: Circuit) -> np.ndarray:
         if g.kind == ROT and g.slot == 0:
             centers[g.qubit, g.layer] = g.angles
     return centers
+
+
+def rot_matrices(gates) -> dict[int, np.ndarray]:
+    """Position -> matrix of every Rot gate in `gates`, compiled in one rot_matrix call."""
+    positions = [p for p, g in enumerate(gates) if g.kind == ROT]
+    angles = np.array([gates[p].angles for p in positions], dtype=float).reshape(-1, 3)
+    return dict(zip(positions, rot_matrix(*angles.T)))
+
+
+def joined_runs(gates, mats: dict[int, np.ndarray], joins=None):
+    """Yield (first gate, length, matrix) for each maximal run of adjacent Rot
+    gates on one wire and layer, whose neighbours also satisfy `joins(prev,
+    next)` when it is given. The matrix is the product of the run's `mats`
+    (position -> matrix), later gates on the left; any other gate is a run of
+    one with its compiled matrix.
+    """
+    start, mat = 0, None
+    for p, g in enumerate(gates):
+        prev = gates[p - 1] if p else None
+        if (
+            prev is not None
+            and g.kind == ROT == prev.kind
+            and (g.qubit, g.layer) == (prev.qubit, prev.layer)
+            and (joins is None or joins(prev, g))
+        ):
+            mat = mats[p] @ mat
+            continue
+        if p:
+            yield gates[start], p - start, mat
+        start, mat = p, mats[p] if g.kind == ROT else compile_gate(g)
+    if gates:
+        yield gates[start], len(gates) - start, mat
+
+
+def _fuse(circuit: Circuit, joins) -> tuple[Circuit, int]:
+    """Each joined run as one gate carrying the ZYZ angles of its product
+    (ids renumbered), and the number of gates removed."""
+    fused: list[Gate] = []
+    for g, length, mat in joined_runs(circuit.gates, rot_matrices(circuit.gates), joins):
+        angles = zyz_angles(mat) if length > 1 else g.angles
+        # the constructor, not dataclasses.replace, which costs several times more
+        fused.append(Gate(len(fused), g.kind, g.layer, g.slot, g.qubit, angles, g.control, g.target))
+    return Circuit(circuit.n_qubits, circuit.depth, tuple(fused)), len(circuit.gates) - len(fused)
+
+
+def fuse_blocks(circuit: Circuit) -> Circuit:
+    """The circuit with each maximal run of adjacent same-wire Rot gates of a
+    layer joined into one Rot; CNOTs are kept. Lossless: a product of det-1
+    rotations is a det-1 rotation. Ids are renumbered.
+    """
+    return _fuse(circuit, None)[0]
+
+
+def merge_adjacent_duplicates(circuit: Circuit) -> tuple[Circuit, int]:
+    """Join only runs of identical adjacent Rot gates, like `fuse_blocks`;
+    returns the merged circuit and the number of gates removed."""
+    return _fuse(circuit, lambda prev, g: prev.angles == g.angles)
 
 
 def apply_gate_sequence(states: np.ndarray, gates, n_qubits: int) -> np.ndarray:

@@ -1,12 +1,17 @@
 """One-shot structured pruning: block partition, reference choice, replacement.
 
 Decisions use the ensemble-average distance d_q computed on each block's
-prefix ensemble (states propagated to the block's first gate); the report
-additionally records the per-state maximum so the state-wise bound can be
-certified. Replacement is structural: a pruned gate keeps its circuit
-location but carries the reference's unitary. A post-pass merges runs of
-identical adjacent gates inside a block into one compiled unitary and
-reports the resulting gate-count reduction.
+prefix ensemble (states propagated through the original circuit to the
+block's first gate); the report additionally records the per-state maximum
+so the state-wise bound can be certified. Every Rot matrix is compiled once
+(`circuit.rot_matrices`) and serves both the comparisons and the prefix
+walk, which applies each block's adjacent members as one product: one
+kernel call per block. Replacement is structural: a pruned gate keeps its
+circuit location but carries the reference's unitary. `certify` runs both
+circuits block-fused (`circuit.fuse_blocks`, exact). The reported merged
+gate count joins only runs of identical adjacent gates
+(`merge_adjacent_duplicates`), so it never drops below the one Rot per
+block that lossless fusion leaves without pruning anything.
 """
 
 from __future__ import annotations
@@ -15,8 +20,16 @@ from dataclasses import asdict, dataclass, replace as dc_replace
 
 import numpy as np
 
-from .circuit import ROT, Circuit, Gate, compile_gate, apply_gate_sequence, rot_matrix, run, zyz_angles
-from .linalg import as_ensemble, operator_norm, pure_trace_distance
+from .circuit import (
+    ROT,
+    Circuit,
+    fuse_blocks,
+    joined_runs,
+    merge_adjacent_duplicates,
+    rot_matrices,
+    run,
+)
+from .linalg import apply_matrix, as_ensemble, operator_norm
 from .qmetric import QGeometry, Tolerance, block_comparator, drift_rhs
 
 MODES = ("reference_only", "pairwise_medoid")
@@ -116,13 +129,13 @@ def partition(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def _medoid(circuit: Circuit, group: tuple[int, ...], compare) -> tuple[int, int]:
+def _medoid(group: tuple[int, ...], mats: dict[int, np.ndarray], compare) -> tuple[int, int]:
     """Gate minimizing summed d_q to the rest of the group; ties -> smallest id.
 
-    `compare` is the block's `block_comparator`. Returns (gate id, number of
-    pairwise evaluations performed).
+    `mats` maps gate ids to matrices and `compare` is the block's
+    `block_comparator`. Returns (gate id, number of pairwise evaluations
+    performed).
     """
-    mats = {gid: compile_gate(circuit.gates[gid]) for gid in group}
     sums = {gid: 0.0 for gid in group}
     count = 0
     ids = sorted(group)
@@ -176,23 +189,23 @@ def prune(
     comparisons = 0
     selection_comparisons = 0
 
-    for g in circuit.gates:
+    mats = rot_matrices(circuit.gates)
+    for g, _, run_mat in joined_runs(circuit.gates, mats):
         if g.id in group_at:
             group = group_at[g.id]
             compare = block_comparator(states, geo, [g.qubit])
             if mode == "pairwise_medoid":
-                ref_id, n_pairs = _medoid(circuit, group, compare)
+                ref_id, n_pairs = _medoid(group, mats, compare)
                 selection_comparisons += n_pairs
             else:
                 ref_id = group[0]
-            ref_gate = circuit.gates[ref_id]
-            ref_mat = compile_gate(ref_gate)
+            ref_mat = mats[ref_id]
 
             candidates: list[tuple[float, int, float]] = []
             for gid in group:
                 if gid == ref_id:
                     continue
-                terms = compare(ref_mat, compile_gate(circuit.gates[gid]))
+                terms = compare(ref_mat, mats[gid])
                 d = float(np.mean(terms))
                 comparisons += 1
                 dq_values[gid] = d
@@ -205,12 +218,13 @@ def prune(
             cap = len(candidates) if max_replace_per_group is None else max_replace_per_group
             for d, gid, _ in candidates[:cap]:
                 replaced.append(gid)
-                new_angles[gid] = ref_gate.angles
+                new_angles[gid] = circuit.gates[ref_id].angles
             for d, gid, _ in candidates[cap:]:
                 kept.append(gid)
             kept.append(ref_id)
-        # prefixes for later blocks always come from the original circuit
-        states = apply_gate_sequence(states, [g], circuit.n_qubits)
+        # prefixes for later blocks always come from the original circuit,
+        # one kernel call per run of adjacent same-wire gates
+        states = apply_matrix(states, run_mat, g.wires(), circuit.n_qubits)
 
     pruned_gates = tuple(
         dc_replace(g, angles=new_angles[g.id]) if g.id in new_angles else g
@@ -247,45 +261,6 @@ def prune(
     return pruned, report
 
 
-def merge_adjacent_duplicates(circuit: Circuit) -> tuple[Circuit, int]:
-    """Merge runs of identical adjacent Rot gates within a block into one gate.
-
-    The merged gate carries the ZYZ angles of the run's matrix power, so the
-    compressed circuit stays inside the native gate set and is exactly
-    equivalent (products of det-1 rotations are det-1). Returns the merged
-    circuit (ids renumbered) and the number of gates removed.
-    """
-    merged: list[Gate] = []
-    i = 0
-    gates = circuit.gates
-    removed = 0
-    while i < len(gates):
-        g = gates[i]
-        if g.kind != ROT:
-            merged.append(g)
-            i += 1
-            continue
-        j = i + 1
-        while (
-            j < len(gates)
-            and gates[j].kind == ROT
-            and gates[j].qubit == g.qubit
-            and gates[j].layer == g.layer
-            and gates[j].angles == g.angles
-        ):
-            j += 1
-        run = j - i
-        if run == 1:
-            merged.append(g)
-        else:
-            mat = np.linalg.matrix_power(rot_matrix(*g.angles), run)
-            merged.append(dc_replace(g, angles=zyz_angles(mat)))
-            removed += run - 1
-        i = j
-    renumbered = tuple(dc_replace(g, id=k) for k, g in enumerate(merged))
-    return Circuit(circuit.n_qubits, circuit.depth, renumbered), removed
-
-
 def certify(
     report: PruneReport,
     circuit: Circuit,
@@ -299,18 +274,22 @@ def certify(
     ||O||_op * (2L/M_q) sin(eps). The raw bound is never asserted to stay
     below 1; slack records how loose the certificate is. Empirical values
     use the standard inner product (the bound's airtight regime) regardless
-    of the q used for the pruning decision.
+    of the q used for the pruning decision. Both circuits run block-fused
+    (`fuse_blocks`), which is exact, so the certificate describes the
+    circuits as given.
     """
     if circuit.n_qubits != pruned.n_qubits or len(circuit.gates) != len(pruned.gates):
         raise ValueError("original and pruned circuits do not match the report")
     states = as_ensemble(ensemble, circuit.dim)
     observable = np.asarray(observable)
 
-    out_a = run(circuit, states)
-    out_b = run(pruned, states)
-    tds = tuple(
-        pure_trace_distance(out_a[k], out_b[k]) for k in range(states.shape[0])
-    )
+    out_a = run(fuse_blocks(circuit), states)
+    out_b = run(fuse_blocks(pruned), states)
+    # pure-state trace distance 2 sqrt(1 - |<a|b>|^2); bit-identical outputs give exactly 0
+    overlap = np.minimum(1.0, np.abs(np.sum(np.conj(out_a) * out_b, axis=1)))
+    tds = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))
+    tds[np.all(out_a == out_b, axis=1)] = 0.0
+    tds = tuple(float(x) for x in tds)
     ev_a = np.real(np.sum(np.conj(out_a) * (out_a @ observable.T), axis=1))
     ev_b = np.real(np.sum(np.conj(out_b) * (out_b @ observable.T), axis=1))
     drifts = tuple(float(x) for x in np.abs(ev_a - ev_b))

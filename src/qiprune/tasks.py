@@ -25,7 +25,9 @@ from .circuit import (
     build_ansatz,
     compile_gate,
     expectation,
+    fuse_blocks,
     rot_derivatives,
+    rot_matrices,
     run,
 )
 from .linalg import apply_matrix, as_ensemble, n_qubits_of, operator_norm
@@ -258,8 +260,8 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def margins(circuit: Circuit, states: np.ndarray) -> np.ndarray:
-    """<Z0> per sample for a batch of input states."""
-    return z0_expectation(run(circuit, states))
+    """<Z0> per sample for a batch of input states, run block-fused (exact)."""
+    return z0_expectation(run(fuse_blocks(circuit), states))
 
 
 def evaluate_classifier(circuit: Circuit, data: EncodedDataset) -> float:
@@ -287,12 +289,17 @@ def _expectations_and_grads(circuit: Circuit, states: np.ndarray, observe):
     lam = observe(final)
     values = np.real(np.sum(np.conj(final) * lam, axis=-1))
     grads = np.zeros((n, circuit.depth, 3) + states.shape[:-1])
+    # every Rot matrix and derivative compiles in one call each
+    mats = rot_matrices(circuit.gates)
+    angles = np.array([circuit.gates[p].angles for p in mats], dtype=float).reshape(-1, 3)
+    derivs = dict(zip(mats, zip(*rot_derivatives(*angles.T))))
     psi = final
-    for g in reversed(circuit.gates):
-        inverse = compile_gate(g).conj().T
+    for p in reversed(range(len(circuit.gates))):
+        g = circuit.gates[p]
+        inverse = (mats[p] if g.kind == ROT else compile_gate(g)).conj().T
         psi = apply_matrix(psi, inverse, g.wires(), n)
         if g.kind == ROT:
-            for a, deriv in enumerate(rot_derivatives(*g.angles)):
+            for a, deriv in enumerate(derivs[p]):
                 d_psi = apply_matrix(psi, deriv, [g.qubit], n)
                 grads[g.qubit, g.layer, a] += 2.0 * np.real(np.sum(np.conj(lam) * d_psi, axis=-1))
         lam = apply_matrix(lam, inverse, g.wires(), n)
@@ -424,8 +431,9 @@ def run_vqe(
 
 
 def vqe_energy(circuit: Circuit, spec: TfimSpec, normalized: bool = False) -> float:
-    """<H> of the circuit output on |0...0>; optionally divided by ||H||_op."""
-    e = expectation(circuit, zero_state(circuit.n_qubits), spec.hamiltonian)
+    """<H> of the block-fused (exact) circuit output on |0...0>; optionally
+    divided by ||H||_op."""
+    e = expectation(fuse_blocks(circuit), zero_state(circuit.n_qubits), spec.hamiltonian)
     if normalized:
         e /= operator_norm(spec.hamiltonian)
     return e

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+
+from oracles import circuit_unitary
 
 from qiprune.circuit import (
     CNOT,
@@ -12,6 +15,7 @@ from qiprune.circuit import (
     build_ansatz,
     compile_gate,
     expectation,
+    fuse_blocks,
     rot_derivatives,
     rot_matrix,
     run,
@@ -46,6 +50,33 @@ class TestCompileGate:
         for _ in range(1000):
             a, b, c = rng.uniform(-math.pi, math.pi, size=3)
             assert unitarity_deviation(rot_matrix(a, b, c)) <= 1e-10
+
+    def test_closed_form_matches_zyz_product(self):
+        def rz(t):
+            return np.diag([cmath.exp(-0.5j * t), cmath.exp(0.5j * t)])
+
+        def ry(t):
+            return np.array([[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]])
+
+        rng = np.random.default_rng(3)
+        for a, b, c in rng.uniform(-2 * math.pi, 2 * math.pi, size=(1000, 3)):
+            np.testing.assert_allclose(rot_matrix(a, b, c), rz(c) @ ry(b) @ rz(a), rtol=0, atol=1e-15)
+
+    def test_angle_arrays_equal_scalar_calls(self):
+        # exact equality: equal angles must give bit-identical matrices wherever
+        # they sit in the array, which prune's exact-zero comparisons rely on
+        rng = np.random.default_rng(5)
+        angles = rng.uniform(-math.pi, math.pi, size=(37, 3))
+        angles[20:] = angles[3]
+        stack = rot_matrix(*angles.T)
+        assert stack.shape == (37, 2, 2)
+        for k, triple in enumerate(angles):
+            np.testing.assert_array_equal(stack[k], rot_matrix(*triple))
+        for stacked, single in zip(rot_derivatives(*angles.T), rot_derivatives(*angles[7])):
+            np.testing.assert_allclose(stacked[7], single, rtol=0, atol=1e-15)
+        grid = rot_matrix(angles[:4, 0][:, None], angles[:3, 1], 0.25)
+        assert grid.shape == (4, 3, 2, 2)
+        np.testing.assert_array_equal(grid[2, 1], rot_matrix(angles[2, 0], angles[1, 1], 0.25))
 
     def test_rot_derivatives_match_central_differences(self):
         # oracle: (rot_matrix(angle + h) - rot_matrix(angle - h)) / 2h per angle
@@ -150,6 +181,71 @@ class TestRun:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             run(build_ansatz(2, 1), basis(3, 0))
+
+
+def _block_circuit(n_qubits, blocks):
+    """Rot blocks (per layer, per qubit a list of angle triples), each layer closed by a CNOT ring."""
+    gates = []
+    for layer, per_qubit in enumerate(blocks):
+        for qubit, members in enumerate(per_qubit):
+            for slot, angles in enumerate(members):
+                gates.append(Gate(len(gates), ROT, layer, slot, qubit=qubit, angles=tuple(angles)))
+        for i in range(n_qubits):
+            gates.append(Gate(len(gates), CNOT, layer, i, control=i, target=(i + 1) % n_qubits))
+    return Circuit(n_qubits, len(blocks), tuple(gates))
+
+
+class TestFuseBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_unitary_oracle_on_random_depth2(self, n, seed):
+        circ = build_ansatz(n, 2, sigma=0.4, seed=seed)
+        fused = fuse_blocks(circ)
+        assert fused.n_rot == 2 * n
+        assert len(fused.gates) == len(circ.gates) - 4 * 2 * n
+        assert [g.id for g in fused.gates] == list(range(len(fused.gates)))
+        np.testing.assert_allclose(
+            circuit_unitary(fused, compile_gate), circuit_unitary(circ, compile_gate), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("beta", [0.0, math.pi])
+    def test_diagonal_and_antidiagonal_products(self, beta):
+        # qubit 0's block product has beta = 0 (diagonal) or beta = pi
+        # (anti-diagonal), the two special branches of zyz_angles
+        rng = np.random.default_rng(6)
+        special = [(a, 0.0, c) for a, c in rng.uniform(-math.pi, math.pi, size=(4, 2))]
+        special.insert(2, (0.4, beta, -1.1))
+        generic = rng.uniform(-math.pi, math.pi, size=(5, 3))
+        circ = _block_circuit(2, [[special, generic], [generic, special]])
+        fused = fuse_blocks(circ)
+        assert fused.n_rot == 4
+        assert abs(fused.gates[0].angles[1] - beta) < 1e-12
+        np.testing.assert_allclose(
+            circuit_unitary(fused, compile_gate), circuit_unitary(circ, compile_gate), rtol=0, atol=1e-12
+        )
+
+    def test_run_broken_by_another_wire_is_not_joined(self):
+        rng = np.random.default_rng(7)
+        a, b, c = (tuple(x) for x in rng.uniform(-math.pi, math.pi, size=(3, 3)))
+        gates = (
+            Gate(0, ROT, 0, 0, qubit=0, angles=a),
+            Gate(1, ROT, 0, 1, qubit=0, angles=b),
+            Gate(2, CNOT, 0, 0, control=1, target=0),
+            Gate(3, ROT, 0, 2, qubit=0, angles=c),
+        )
+        circ = Circuit(2, 1, gates)
+        fused = fuse_blocks(circ)
+        assert [g.kind for g in fused.gates] == [ROT, CNOT, ROT]
+        assert fused.gates[2].angles == c
+        np.testing.assert_allclose(
+            circuit_unitary(fused, compile_gate), circuit_unitary(circ, compile_gate), rtol=0, atol=1e-12
+        )
+
+    def test_circuit_without_rot_gates_is_unchanged(self):
+        gates = tuple(Gate(i, CNOT, 0, i, control=i, target=(i + 1) % 3) for i in range(3))
+        circ = Circuit(3, 1, gates)
+        assert fuse_blocks(circ) == circ
+        assert fuse_blocks(Circuit(2, 1, ())) == Circuit(2, 1, ())
 
 
 class TestZyzAngles:

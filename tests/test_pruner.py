@@ -5,8 +5,8 @@ import pytest
 
 from oracles import circuit_unitary
 
-from qiprune.circuit import CNOT, ROT, Circuit, Gate, build_ansatz, compile_gate, run
-from qiprune.linalg import random_state
+from qiprune.circuit import CNOT, ROT, Circuit, Gate, build_ansatz, compile_gate, fuse_blocks, run
+from qiprune.linalg import pure_trace_distance, random_state
 from qiprune.pruner import (
     certify,
     merge_adjacent_duplicates,
@@ -14,7 +14,7 @@ from qiprune.pruner import (
     prune,
 )
 from qiprune.qmetric import Tolerance, build_geometry, calibrate_epsilon, d_q
-from qiprune.tasks import z0_observable
+from qiprune.tasks import margins, z0_observable
 
 
 def ensemble(n, m, seed):
@@ -360,6 +360,21 @@ class TestCertify:
         np.testing.assert_allclose(cert.obs_drifts, expected, rtol=0, atol=1e-12)
         assert cert.op_norm == pytest.approx(np.linalg.norm(obs, 2), rel=1e-14)
 
+    def test_fused_run_describes_the_circuits_as_given(self):
+        # certify runs both circuits block-fused; its per-state trace distances
+        # are those of the circuits run gate by gate, fused input or not
+        n = 3
+        circ = build_ansatz(n, 2, sigma=0.02, seed=25)
+        geo = build_geometry(n, 1.0)
+        ens = ensemble(n, 8, 25)
+        pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.05, geo))
+        assert 0 < report.L < circ.n_rot
+        expected = [pure_trace_distance(run(circ, psi), run(pruned, psi)) for psi in ens]
+        assert min(expected) > 0.0
+        for a, b in ((circ, pruned), (fuse_blocks(circ), fuse_blocks(pruned))):
+            cert = certify(report, a, b, ens, z0_observable(n))
+            np.testing.assert_allclose(cert.trace_distances, expected, rtol=0, atol=1e-12)
+
     def test_mismatched_circuits_rejected(self):
         circ = build_ansatz(2, 1, sigma=0.01, seed=20)
         geo = build_geometry(2, 1.0)
@@ -369,6 +384,33 @@ class TestCertify:
         other = build_ansatz(3, 1, sigma=0.01, seed=20)
         with pytest.raises(ValueError, match="do not match"):
             certify(report, other, pruned, ens, z0_observable(3))
+
+
+@pytest.mark.parametrize("n,depth,limit", [(8, 1, 80), (4, 6, 240)])
+def test_kernel_calls_per_grid_point(monkeypatch, n, depth, limit):
+    # prune's walk, two margins and certify's two runs: five passes at one
+    # kernel call per block and per CNOT; one call per gate made 240 and 720
+    import qiprune.circuit
+    import qiprune.pruner
+    import qiprune.tasks
+
+    calls = []
+    kernel = qiprune.circuit.apply_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    for module in (qiprune.circuit, qiprune.pruner, qiprune.tasks):
+        monkeypatch.setattr(module, "apply_matrix", counted)
+    circ = build_ansatz(n, depth, sigma=0.01, seed=0)
+    ens = ensemble(n, 50, 0)
+    geo = build_geometry(n, 1.0)
+    pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.01, geo))
+    margins(circ, ens)
+    margins(pruned, ens)
+    certify(report, circ, pruned, ens, z0_observable(n))
+    assert len(calls) <= 5 * 2 * n * depth == limit
 
 
 def test_report_json_dict_round_trips_through_json():
