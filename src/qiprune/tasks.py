@@ -20,7 +20,6 @@ import numpy as np
 from .circuit import (
     Circuit,
     ROT,
-    apply_gate_sequence,
     block_centers,
     build_ansatz,
     compile_gate,
@@ -285,18 +284,21 @@ def _expectations_and_grads(circuit: Circuit, states: np.ndarray, observe):
     Returns (values (B,), grads (n_qubits, depth, 3, B), final_states).
     """
     n = circuit.n_qubits
-    final = apply_gate_sequence(states, circuit.gates, n)
+    # every Rot matrix and derivative compiles in one array call each; both passes reuse them
+    mats = rot_matrices(circuit.gates)
+    compiled = [mats[p] if g.kind == ROT else compile_gate(g) for p, g in enumerate(circuit.gates)]
+    final = states
+    for g, mat in zip(circuit.gates, compiled):
+        final = apply_matrix(final, mat, g.wires(), n)
     lam = observe(final)
     values = np.real(np.sum(np.conj(final) * lam, axis=-1))
     grads = np.zeros((n, circuit.depth, 3) + states.shape[:-1])
-    # every Rot matrix and derivative compiles in one call each
-    mats = rot_matrices(circuit.gates)
     angles = np.array([circuit.gates[p].angles for p in mats], dtype=float).reshape(-1, 3)
     derivs = dict(zip(mats, zip(*rot_derivatives(*angles.T))))
     psi = final
     for p in reversed(range(len(circuit.gates))):
         g = circuit.gates[p]
-        inverse = (mats[p] if g.kind == ROT else compile_gate(g)).conj().T
+        inverse = compiled[p].conj().T
         psi = apply_matrix(psi, inverse, g.wires(), n)
         if g.kind == ROT:
             for a, deriv in enumerate(derivs[p]):

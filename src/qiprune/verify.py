@@ -6,6 +6,9 @@ measurement-mode (bound = inf; the measured value is telemetry only).
 Measurement mode covers the claims whose general-q form does not hold
 numerically: the overlap-domination inequality and the distance symmetry are
 exact at q = 1 and merely monitored at q != 1.
+
+The three checks that compare against `scipy.linalg.expm` import scipy
+themselves, so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import qalgebra, qmetric
 from .circuit import build_ansatz
@@ -196,6 +198,8 @@ def _check_q_number_limits(seed: int) -> list[CheckResult]:
 
 
 def _check_q_exp_limit(seed: int) -> list[CheckResult]:
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(50):
@@ -262,6 +266,8 @@ def _check_overlap_domination(seed: int) -> list[CheckResult]:
 
 def _check_statewise_bound(seed: int) -> list[CheckResult]:
     """Trace distance vs 2 sqrt(1 - cos^2 eps) at q = 1, premise measured per state."""
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(200):
@@ -278,6 +284,8 @@ def _check_statewise_bound(seed: int) -> list[CheckResult]:
 
 
 def _check_average_bound(seed: int) -> list[CheckResult]:
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(50):

@@ -317,23 +317,31 @@ class TestParameterShift:
 
     def test_kernel_calls_per_gradient(self, monkeypatch):
         # adjoint sweep: G forward, 2G reverse (psi and lambda), 3 per Rot derivative;
-        # the parameter-shift walk it replaced made 9,684 calls on this circuit
+        # the parameter-shift walk it replaced made 9,684 calls on this circuit.
+        # Both passes reuse the one rot_matrices batch: no Rot compiles on its own.
         import qiprune.circuit
         import qiprune.tasks
 
-        calls = []
+        calls, compiled_kinds = [], []
         kernel = qiprune.tasks.apply_matrix
+        compile_gate = qiprune.circuit.compile_gate
 
         def counted(*args):
             calls.append(1)
             return kernel(*args)
 
+        def counted_compile(gate):
+            compiled_kinds.append(gate.kind)
+            return compile_gate(gate)
+
         for module in (qiprune.circuit, qiprune.tasks):
             monkeypatch.setattr(module, "apply_matrix", counted)
+            monkeypatch.setattr(module, "compile_gate", counted_compile)
         circ = build_ansatz(4, 6, sigma=0.0, seed=0)
         states = generate_bas(4).states
         _expectations_and_grads(circ, states, lambda phi: z0_diagonal(4) * phi)
         assert len(calls) <= 3 * len(circ.gates) + 3 * circ.n_rot == 792
+        assert ROT not in compiled_kinds
 
 
 class TestTrainClassifier:
