@@ -166,20 +166,20 @@ def build_ansatz(
                     )
                 )
                 gid += 1
-        if n_qubits >= 2:
-            for i in range(n_qubits):
-                gates.append(
-                    Gate(
-                        id=gid,
-                        kind=CNOT,
-                        layer=layer,
-                        slot=i,
-                        control=i,
-                        target=(i + 1) % n_qubits,
-                    )
-                )
-                gid += 1
+        for i, (control, target) in enumerate(cnot_ring(n_qubits)):
+            gates.append(
+                Gate(id=gid, kind=CNOT, layer=layer, slot=i, control=control, target=target)
+            )
+            gid += 1
     return Circuit(n_qubits=n_qubits, depth=depth, gates=tuple(gates))
+
+
+def cnot_ring(n_qubits: int) -> list[list[int]]:
+    """[control, target] wires of one layer's CNOT ring (i -> i + 1 mod n), in
+    order; empty on one qubit."""
+    if n_qubits < 2:
+        return []
+    return [[i, (i + 1) % n_qubits] for i in range(n_qubits)]
 
 
 def block_centers(circuit: Circuit) -> np.ndarray:

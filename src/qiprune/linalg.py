@@ -62,7 +62,8 @@ def apply_matrix(states: np.ndarray, mat: np.ndarray, wires: list[int], n_qubits
     The path is chosen from the matrix: a 2x2 multiplies the wire's two
     half-slices as one (2, N) slab, with no moveaxis; a 0/1 permutation
     matrix (CNOT, SWAP) is a gather over a cached basis-index permutation,
-    with no arithmetic; any other matrix goes through moveaxis + matmul.
+    with no arithmetic, and the permutation check is memoised for small
+    matrices; any other matrix goes through moveaxis + matmul.
     """
     k = len(wires)
     if mat.shape != (1 << k, 1 << k):
@@ -108,8 +109,29 @@ def _apply_one_qubit(states: np.ndarray, mat: np.ndarray, wire: int, n_qubits: i
     return y.reshape(2, x.shape[0], x.shape[2]).transpose(1, 0, 2).reshape(states.shape)
 
 
+#: largest matrix (entries) whose permutation check is memoised; 8x8 keys are 1 KiB
+_MEMO_MAX_ENTRIES = 64
+
+
 def _local_permutation(mat: np.ndarray) -> tuple[int, ...] | None:
-    """Source column of each row when `mat` is a 0/1 permutation matrix, else None."""
+    """Source column of each row when `mat` is a 0/1 permutation matrix, else None.
+
+    Matrices up to 8x8 are memoised on their exact bytes, so each distinct
+    matrix is checked once; a copy hits the memo and an edited array is a new key.
+    """
+    if mat.size > _MEMO_MAX_ENTRIES:
+        return _permutation_check(mat)
+    return _memoised_permutation_check(mat.dtype, mat.shape, mat.tobytes())
+
+
+# small on purpose: circuits repeat a few matrices (CNOT), while verify's
+# checks stream hundreds of distinct random ones through here
+@functools.lru_cache(maxsize=16)
+def _memoised_permutation_check(dtype: np.dtype, shape: tuple[int, ...], data: bytes) -> tuple[int, ...] | None:
+    return _permutation_check(np.frombuffer(data, dtype=dtype).reshape(shape))
+
+
+def _permutation_check(mat: np.ndarray) -> tuple[int, ...] | None:
     ones = mat == 1
     if np.count_nonzero(mat) == len(mat) and (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all():
         return tuple(ones.argmax(axis=1).tolist())

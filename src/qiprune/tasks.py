@@ -3,9 +3,9 @@
 Classification margins are <Z> on qubit 0; a sample is predicted +1 when the
 margin is >= 0. Training optimizes the per-block center angles of the ansatz
 (all five block members share the center during training, i.e. sigma = 0)
-with plain gradient descent; gradients come from one adjoint sweep (a
-forward pass, then a reverse pass that un-applies each gate), about 3 kernel
-calls per gate.
+with plain gradient descent; gradients come from one adjoint sweep over one
+product matrix per block (a forward pass, then a reverse pass that un-applies
+each block and CNOT), about 6 kernel calls per block and 3 per CNOT.
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
+    BLOCK_SIZE,
+    CNOT_MATRIX,
     Circuit,
-    ROT,
     block_centers,
     build_ansatz,
-    compile_gate,
+    cnot_ring,
     expectation,
     fuse_blocks,
     rot_derivatives,
-    rot_matrices,
+    rot_matrix,
     run,
 )
 from .linalg import apply_matrix, as_ensemble, n_qubits_of, operator_norm
@@ -265,46 +266,90 @@ def margins(circuit: Circuit, states: np.ndarray) -> np.ndarray:
 
 def evaluate_classifier(circuit: Circuit, data: EncodedDataset) -> float:
     """Validation accuracy of sign(<Z0>) against labels; a zero margin predicts +1."""
-    if len(data) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     sel = data.val_idx
+    if len(sel) == 0:
+        raise ValueError("cannot evaluate on an empty validation split")
     m = margins(circuit, data.states[sel])
     pred = np.where(m >= 0.0, 1, -1)
     return float(np.mean(pred == data.labels[sel]))
 
 
-def _expectations_and_grads(circuit: Circuit, states: np.ndarray, observe):
+def _check_at_least(name: str, value, low: int) -> None:
+    if value is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _shared_members(centers: np.ndarray) -> np.ndarray:
+    """Member angles (n_qubits, depth, BLOCK_SIZE, 3) of sigma = 0 blocks: every
+    member sits at its block centre (a read-only view of `centers`)."""
+    return np.broadcast_to(centers[:, :, None, :], centers.shape[:2] + (BLOCK_SIZE, 3))
+
+
+def _block_products(members: np.ndarray) -> np.ndarray:
+    """Each block's product R_4 ... R_0 of its member rotations, (n_qubits, depth, 2, 2),
+    from member angles in `build_ansatz`'s layout (n_qubits, depth, BLOCK_SIZE, 3)."""
+    mats = rot_matrix(*np.moveaxis(members, -1, 0))
+    prod = mats[:, :, 0]
+    for s in range(1, BLOCK_SIZE):
+        prod = mats[:, :, s] @ prod
+    return prod
+
+
+def _block_walk(blocks: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Apply per-block matrices (n_qubits, depth, 2, 2) in `build_ansatz`'s gate
+    order: per layer, each qubit's block, then the layer's CNOT ring."""
+    n, depth = blocks.shape[:2]
+    ring = cnot_ring(n)
+    for layer in range(depth):
+        for q in range(n):
+            states = apply_matrix(states, blocks[q, layer], [q], n)
+        for wires in ring:
+            states = apply_matrix(states, CNOT_MATRIX, wires, n)
+    return states
+
+
+def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observe):
     """Per-sample expectations <O> and their gradients with respect to the block centers.
 
-    `observe` applies the observable O to a batch of states. Adjoint sweep:
-    after one forward pass, every gate is un-applied in reverse order from
-    both psi and lambda = O psi; at each Rot gate the three ZYZ angles add
-    2 Re <lambda|dU psi> to their block center. About 3 kernel calls per gate.
+    `members` holds the member angles in `build_ansatz`'s layout, shape
+    (n_qubits, depth, BLOCK_SIZE, 3); `observe` applies the observable O to a
+    batch of states. Adjoint sweep on one product matrix B = R_4 ... R_0 per
+    block: the forward pass applies each B, then the layer's CNOT ring; the
+    reverse pass un-applies every CNOT and B^dag from both psi and
+    lambda = O psi, and between the two, with psi the state before the block
+    and lambda the one after it, centre angle a gets 2 Re <lambda|D_a psi>.
+    D_a = sum_s (R_4 ... R_{s+1}) dR_s/da (R_{s-1} ... R_0) comes from the
+    recurrence D <- R_s D + dR_s P, P <- R_s P over the slots, for all blocks
+    at once. That is 6 kernel calls per block and 3 per CNOT.
 
     Returns (values (B,), grads (n_qubits, depth, 3, B), final_states).
     """
-    n = circuit.n_qubits
-    # every Rot matrix and derivative compiles in one array call each; both passes reuse them
-    mats = rot_matrices(circuit.gates)
-    compiled = [mats[p] if g.kind == ROT else compile_gate(g) for p, g in enumerate(circuit.gates)]
-    final = states
-    for g, mat in zip(circuit.gates, compiled):
-        final = apply_matrix(final, mat, g.wires(), n)
+    n, depth = members.shape[:2]
+    angles = np.moveaxis(members, -1, 0)
+    mats = rot_matrix(*angles)
+    derivs = np.stack(rot_derivatives(*angles))
+    prod, dprod = mats[:, :, 0], derivs[:, :, :, 0]
+    for s in range(1, BLOCK_SIZE):
+        dprod = mats[:, :, s] @ dprod + derivs[:, :, :, s] @ prod
+        prod = mats[:, :, s] @ prod
+    final = _block_walk(prod, states)
     lam = observe(final)
     values = np.real(np.sum(np.conj(final) * lam, axis=-1))
-    grads = np.zeros((n, circuit.depth, 3) + states.shape[:-1])
-    angles = np.array([circuit.gates[p].angles for p in mats], dtype=float).reshape(-1, 3)
-    derivs = dict(zip(mats, zip(*rot_derivatives(*angles.T))))
+    grads = np.zeros((n, depth, 3) + states.shape[:-1])
+    inverse = np.conj(np.swapaxes(prod, -1, -2))
+    ring = cnot_ring(n)
     psi = final
-    for p in reversed(range(len(circuit.gates))):
-        g = circuit.gates[p]
-        inverse = compiled[p].conj().T
-        psi = apply_matrix(psi, inverse, g.wires(), n)
-        if g.kind == ROT:
-            for a, deriv in enumerate(derivs[p]):
-                d_psi = apply_matrix(psi, deriv, [g.qubit], n)
-                grads[g.qubit, g.layer, a] += 2.0 * np.real(np.sum(np.conj(lam) * d_psi, axis=-1))
-        lam = apply_matrix(lam, inverse, g.wires(), n)
+    for layer in reversed(range(depth)):
+        # CNOT is its own inverse
+        for wires in reversed(ring):
+            psi = apply_matrix(psi, CNOT_MATRIX, wires, n)
+            lam = apply_matrix(lam, CNOT_MATRIX, wires, n)
+        for q in reversed(range(n)):
+            psi = apply_matrix(psi, inverse[q, layer], [q], n)
+            for a in range(3):
+                d_psi = apply_matrix(psi, dprod[a, q, layer], [q], n)
+                grads[q, layer, a] = 2.0 * np.real(np.sum(np.conj(lam) * d_psi, axis=-1))
+            lam = apply_matrix(lam, inverse[q, layer], [q], n)
     return values, grads, final
 
 
@@ -321,27 +366,35 @@ def train_classifier(
 
     Expects a sigma = 0 circuit (block centers read from slot-0 gates).
     Returns a fresh sigma = 0 circuit with the trained centers; resample the
-    candidate pools around it afterwards. Deterministic given seed.
+    candidate pools around it afterwards. Deterministic given seed. Raises
+    ValueError for epochs < 0, batch_size or max_train_samples < 1, and an
+    empty dataset or (with epochs >= 1) an empty training split.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
+    _check_at_least("epochs", epochs, 0)
+    _check_at_least("batch_size", batch_size, 1)
+    _check_at_least("max_train_samples", max_train_samples, 1)
     n, depth = circuit.n_qubits, circuit.depth
     centers = block_centers(circuit).copy()
     rng = np.random.default_rng(seed)
 
     idx = np.array(data.train_idx)
+    if epochs and idx.size == 0:
+        raise ValueError("cannot train on an empty training split")
     if max_train_samples is not None and idx.size > max_train_samples:
         idx = np.sort(rng.choice(idx, size=max_train_samples, replace=False))
     states = data.states[idx]
     labels = data.labels[idx].astype(float)
     zdiag = z0_diagonal(n)
-    bs = batch_size or idx.size
+    bs = idx.size if batch_size is None else batch_size
     for _ in range(epochs):
         order = rng.permutation(idx.size)
         for start in range(0, idx.size, bs):
             sel = order[start : start + bs]
-            c = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
-            m, grads, _ = _expectations_and_grads(c, states[sel], lambda phi: zdiag * phi)
+            m, grads, _ = _expectations_and_grads(
+                _shared_members(centers), states[sel], lambda phi: zdiag * phi
+            )
             if not np.all(np.isfinite(m)):
                 raise RuntimeError("training diverged: non-finite margins")
             y = labels[sel]
@@ -389,8 +442,9 @@ def run_vqe(
     non-increasing per accepted step. The energy trace has one entry per
     iteration plus the final energy. Output states of the evolving circuit
     are snapshotted at evenly spaced iterations (at most `snapshots` of
-    them) for ensemble construction.
+    them) for ensemble construction. Raises ValueError for iters < 0.
     """
+    _check_at_least("iters", iters, 0)
     if spec.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"hamiltonian is on {spec.n_qubits} qubits, circuit on {circuit.n_qubits}"
@@ -400,8 +454,11 @@ def run_vqe(
     ham = spec.hamiltonian
     state0 = zero_state(n)
 
-    def energy_at(c: np.ndarray) -> float:
-        return vqe_energy(build_ansatz(n, depth, centers=c, sigma=0.0, seed=0), spec)
+    def output_at(c: np.ndarray) -> np.ndarray:
+        return _block_walk(_block_products(_shared_members(c)), state0)
+
+    def energy_of(out: np.ndarray) -> float:
+        return float(np.real(np.vdot(out, ham @ out)))
 
     snap_iters = set(
         int(t) for t in np.linspace(0, max(iters - 1, 0), num=min(snapshots, max(iters, 1))).round()
@@ -409,8 +466,9 @@ def run_vqe(
     energies: list[float] = []
     snaps: list[np.ndarray] = []
     for t in range(iters):
-        c = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
-        e, grads, final = _expectations_and_grads(c, state0[None], lambda phi: phi @ ham.T)
+        e, grads, final = _expectations_and_grads(
+            _shared_members(centers), state0[None], lambda phi: phi @ ham.T
+        )
         if not np.isfinite(e[0]):
             raise RuntimeError("VQE diverged: non-finite energy")
         energies.append(float(e[0]))
@@ -420,15 +478,16 @@ def run_vqe(
         step = lr
         trial = centers - step * direction
         for _ in range(max_backtracks):
-            if energy_at(trial) <= energies[-1] + 1e-12:
+            if energy_of(output_at(trial)) <= energies[-1] + 1e-12:
                 break
             step *= 0.5
             trial = centers - step * direction
         centers = trial
-    trained = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
-    energies.append(vqe_energy(trained, spec))
+    out = output_at(centers)
+    energies.append(energy_of(out))
     if not snaps:
-        snaps.append(run(trained, state0))
+        snaps.append(out)
+    trained = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
     return VqeResult(energies=tuple(energies), snapshots=np.array(snaps), trained=trained)
 
 

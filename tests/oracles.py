@@ -5,8 +5,9 @@ machinery: gates are embedded with explicit Kronecker products and circuits
 are multiplied out as full-dimension unitaries, so tests compare two
 genuinely different computation paths. The one exception is
 `checkpointed_expectations_and_grads`, the parameter-shift reference for the
-package's adjoint gradients: it shares the package's kernel, so its forward
-pass matches bit for bit, while values and gradients are compared at 1e-12.
+package's adjoint gradients: it shares the package's kernel but walks the
+circuit gate by gate, while the package walks one product per block, so
+final states, values and gradients are compared at 1e-12.
 """
 
 import math

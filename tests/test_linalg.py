@@ -101,6 +101,55 @@ class TestApplyGate:
             n_qubits_of(np.zeros(3))
 
 
+class TestPermutationMemo:
+    """`apply_matrix` checks each distinct matrix for being a permutation once."""
+
+    CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+
+    def test_near_permutation_takes_dense_path(self, monkeypatch):
+        from qiprune import linalg
+
+        psi = random_state(2, np.random.default_rng(1))
+        apply_matrix(psi, self.CNOT, [0, 1], 2)  # the memo now holds CNOT
+        near = self.CNOT.copy()
+        near[0, 1] = 1e-17
+        dense_calls = []
+        dense = linalg._apply_dense
+
+        def counted(*args):
+            dense_calls.append(1)
+            return dense(*args)
+
+        monkeypatch.setattr(linalg, "_apply_dense", counted)
+        apply_matrix(psi, near, [0, 1], 2)
+        assert dense_calls == [1]
+        apply_matrix(psi, self.CNOT, [0, 1], 2)
+        assert dense_calls == [1]
+
+    def test_copy_hits_the_memo(self):
+        from qiprune import linalg
+
+        psi = random_state(2, np.random.default_rng(2))
+        want = apply_matrix(psi, self.CNOT, [0, 1], 2)
+        before = linalg._memoised_permutation_check.cache_info()
+        got = apply_matrix(psi, np.array(self.CNOT), [0, 1], 2)
+        after = linalg._memoised_permutation_check.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        np.testing.assert_array_equal(got, want)
+
+    def test_in_place_edit_is_not_answered_from_a_stale_entry(self):
+        from oracles import embed_kron
+
+        rng = np.random.default_rng(3)
+        psi = random_state(2, rng)
+        mat = self.CNOT.copy()
+        np.testing.assert_array_equal(apply_matrix(psi, mat, [0, 1], 2), psi[[0, 1, 3, 2]])
+        mat[2:, 2:] = haar_unitary(2, rng)
+        np.testing.assert_allclose(
+            apply_matrix(psi, mat, [0, 1], 2), embed_kron(mat, [0, 1], 2) @ psi, atol=1e-12
+        )
+
+
 class TestPureTraceDistance:
     def test_identical_states(self):
         psi = random_state(2, np.random.default_rng(0))

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from qiprune.circuit import ROT, Circuit, build_ansatz, run
+from qiprune.circuit import BLOCK_SIZE, ROT, Circuit, build_ansatz, run
 from qiprune.linalg import operator_norm, random_state
 from qiprune.tasks import (
     EncodedDataset,
@@ -240,6 +240,21 @@ class TestClassifierEvaluation:
         with pytest.raises(ValueError, match="empty"):
             evaluate_classifier(Circuit(1, 1, ()), empty)
 
+    def test_empty_validation_split(self):
+        data = self._toy([1, -1])
+        data.val_idx = np.zeros(0, int)
+        with pytest.raises(ValueError, match="empty validation split"):
+            evaluate_classifier(Circuit(1, 1, ()), data)
+
+
+def member_angles(circuit):
+    """Rot angles of an ansatz circuit in `build_ansatz`'s layout (n_qubits, depth, BLOCK_SIZE, 3)."""
+    out = np.full((circuit.n_qubits, circuit.depth, BLOCK_SIZE, 3), np.nan)
+    for g in circuit.gates:
+        if g.kind == ROT:
+            out[g.qubit, g.layer, g.slot] = g.angles
+    return out
+
 
 def summed_onto_centers(circuit, grads, rot_positions):
     """Per-occurrence oracle gradients (n_rot, 3, B) summed onto (qubit, layer)."""
@@ -262,7 +277,7 @@ class TestParameterShift:
         rng = np.random.default_rng(5)
         states = np.array([random_state(2, rng) for _ in range(3)])
 
-        values, grads, final = _expectations_and_grads(circ, states, lambda phi: z0_diagonal(2) * phi)
+        values, grads, final = _expectations_and_grads(member_angles(circ), states, lambda phi: z0_diagonal(2) * phi)
         np.testing.assert_allclose(values, z0_expectation(run(circ, states)), atol=1e-12)
         np.testing.assert_allclose(final, run(circ, states), atol=1e-12)
 
@@ -286,16 +301,19 @@ class TestParameterShift:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_forward_walk_bitwise_equals_checkpointed_reference(self, n, depth, batch):
-        # the forward pass is the reference's kernel sequence, so final states
-        # agree bit for bit; values and gradients take a different route (1e-12)
+        # the forward pass applies one product matrix per block, not the
+        # reference's per-gate kernel sequence, so final states, values and
+        # gradients are all compared at 1e-12
         circ = build_ansatz(n, depth, sigma=0.2, seed=10 * n + depth)
         rng = np.random.default_rng([n, depth, batch])
         states = np.array([random_state(n, rng) for _ in range(batch)])
-        values, grads, final = _expectations_and_grads(circ, states, lambda phi: z0_diagonal(n) * phi)
+        values, grads, final = _expectations_and_grads(
+            member_angles(circ), states, lambda phi: z0_diagonal(n) * phi
+        )
         want_values, want_grads, rot_positions, want_final = checkpointed_expectations_and_grads(
             circ, states, z0_expectation
         )
-        assert np.array_equal(final, want_final)
+        np.testing.assert_allclose(final, want_final, rtol=0, atol=1e-12)
         np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             grads, summed_onto_centers(circ, want_grads, rot_positions), rtol=0, atol=1e-12
@@ -305,20 +323,21 @@ class TestParameterShift:
         ham = build_tfim(4).hamiltonian
         circ = build_ansatz(4, 2, sigma=0.2, seed=3)
         state = random_state(4, np.random.default_rng(8))[None]
-        values, grads, final = _expectations_and_grads(circ, state, lambda phi: phi @ ham.T)
+        values, grads, final = _expectations_and_grads(member_angles(circ), state, lambda phi: phi @ ham.T)
         want_values, want_grads, rot_positions, want_final = checkpointed_expectations_and_grads(
             circ, state, lambda phi: np.real(np.einsum("...i,ij,...j->...", np.conj(phi), ham, phi))
         )
-        assert np.array_equal(final, want_final)
+        np.testing.assert_allclose(final, want_final, rtol=0, atol=1e-12)
         np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             grads, summed_onto_centers(circ, want_grads, rot_positions), rtol=0, atol=1e-12
         )
 
     def test_kernel_calls_per_gradient(self, monkeypatch):
-        # adjoint sweep: G forward, 2G reverse (psi and lambda), 3 per Rot derivative;
-        # the parameter-shift walk it replaced made 9,684 calls on this circuit.
-        # Both passes reuse the one rot_matrices batch: no Rot compiles on its own.
+        # adjoint sweep on one product per block: per block 1 forward, 2 reverse
+        # (psi and lambda) and 3 derivative calls; per CNOT 1 forward and 2 reverse.
+        # The per-gate sweep it replaced made 792 calls on this circuit, the
+        # parameter-shift walk before it 9,684. No Rot compiles on its own.
         import qiprune.circuit
         import qiprune.tasks
 
@@ -336,11 +355,13 @@ class TestParameterShift:
 
         for module in (qiprune.circuit, qiprune.tasks):
             monkeypatch.setattr(module, "apply_matrix", counted)
-            monkeypatch.setattr(module, "compile_gate", counted_compile)
+        monkeypatch.setattr(qiprune.circuit, "compile_gate", counted_compile)
         circ = build_ansatz(4, 6, sigma=0.0, seed=0)
         states = generate_bas(4).states
-        _expectations_and_grads(circ, states, lambda phi: z0_diagonal(4) * phi)
-        assert len(calls) <= 3 * len(circ.gates) + 3 * circ.n_rot == 792
+        _expectations_and_grads(member_angles(circ), states, lambda phi: z0_diagonal(4) * phi)
+        n_blocks = circ.n_rot // BLOCK_SIZE
+        n_cnot = len(circ.gates) - circ.n_rot
+        assert len(calls) <= 6 * n_blocks + 3 * n_cnot == 216
         assert ROT not in compiled_kinds
 
 
@@ -380,6 +401,45 @@ class TestTrainClassifier:
         t1 = train_classifier(circ, data, epochs=2, lr=0.3, seed=7)
         t2 = train_classifier(circ, data, epochs=2, lr=0.3, seed=7)
         assert t1 == t2
+
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("epochs", -1), ("batch_size", -1), ("batch_size", 0), ("max_train_samples", 0)],
+    )
+    def test_out_of_range_argument_is_named(self, knob, value):
+        circ = build_ansatz(2, 1, sigma=0.0, seed=0)
+        small = EncodedDataset("b", 2, np.eye(4, dtype=complex), np.array([1, -1, 1, -1]), np.arange(4), np.arange(4))
+        with pytest.raises(ValueError, match=f"{knob} must be >= "):
+            train_classifier(circ, small, **{"epochs": 1, knob: value})
+
+    def test_empty_training_split(self):
+        circ = build_ansatz(2, 1, sigma=0.0, seed=0)
+        data = EncodedDataset("b", 2, np.eye(4, dtype=complex), np.array([1, -1, 1, -1]), np.zeros(0, int), np.arange(4))
+        with pytest.raises(ValueError, match="empty training split"):
+            train_classifier(circ, data, epochs=1)
+        assert train_classifier(circ, data, epochs=0) == circ
+
+
+def test_training_loops_build_no_circuit(monkeypatch):
+    # the loops keep the centres as an array; only the returned circuit is built
+    import qiprune.tasks
+
+    calls = []
+    for name in ("build_ansatz", "fuse_blocks"):
+        original = getattr(qiprune.tasks, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qiprune.tasks, name, counted)
+    circ = build_ansatz(4, 2, sigma=0.0, seed=1)
+    train_classifier(circ, generate_bas(4), epochs=2, lr=0.3, seed=0, batch_size=7)
+    assert calls == ["build_ansatz"]
+    calls.clear()
+    run_vqe(build_tfim(4), circ, iters=4, lr=0.1)
+    assert calls == ["build_ansatz"]
 
 
 class TestTfim:
@@ -442,6 +502,10 @@ class TestRunVqe:
         r2 = run_vqe(spec, circ, iters=5, lr=0.1)
         assert r1.energies == r2.energies
         np.testing.assert_array_equal(r1.snapshots, r2.snapshots)
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iters must be >= 0"):
+            run_vqe(build_tfim(2), build_ansatz(2, 1, sigma=0.0, seed=5), iters=-2)
 
     def test_normalized_energy(self):
         spec = build_tfim(2)
