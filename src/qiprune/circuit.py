@@ -5,9 +5,10 @@ gates (the candidate pool) sampled around a per-block center, followed by a
 ring of CNOTs. Rot(alpha, beta, gamma) compiles to Rz(gamma) Ry(beta)
 Rz(alpha) (ZYZ, alpha applied first). Pool noise is drawn once per seed as
 unit normals and scaled by sigma, so sweeps over sigma with a fixed seed
-share the same perturbation directions. `fuse_blocks` joins each run of
-adjacent same-wire Rot gates into one Rot for output-only passes; `run`
-itself applies one kernel call per gate of the circuit it is given.
+share the same perturbation directions. `run` applies one kernel call per
+gate; output-only passes use `run_fused`, which applies each run of adjacent
+same-wire Rot gates as one product matrix (exact, no Gate objects built).
+`fuse_blocks` returns that fused circuit as Gates when one is wanted.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -149,22 +151,15 @@ def build_ansatz(
     noise_rng = np.random.default_rng([seed, 0])
     xi = noise_rng.standard_normal(size=(depth, n_qubits, BLOCK_SIZE, 3))
 
+    # (depth, n_qubits, BLOCK_SIZE, 3) member angles as Python floats in one call
+    members = (np.swapaxes(centers, 0, 1)[:, :, None, :] + sigma * xi).tolist()
+
     gates: list[Gate] = []
     gid = 0
     for layer in range(depth):
         for qubit in range(n_qubits):
             for slot in range(BLOCK_SIZE):
-                angles = centers[qubit, layer] + sigma * xi[layer, qubit, slot]
-                gates.append(
-                    Gate(
-                        id=gid,
-                        kind=ROT,
-                        layer=layer,
-                        slot=slot,
-                        qubit=qubit,
-                        angles=tuple(float(a) for a in angles),
-                    )
-                )
+                gates.append(Gate(gid, ROT, layer, slot, qubit, tuple(members[layer][qubit][slot])))
                 gid += 1
         for i, (control, target) in enumerate(cnot_ring(n_qubits)):
             gates.append(
@@ -191,36 +186,46 @@ def block_centers(circuit: Circuit) -> np.ndarray:
     return centers
 
 
-def rot_matrices(gates) -> dict[int, np.ndarray]:
-    """Position -> matrix of every Rot gate in `gates`, compiled in one rot_matrix call."""
+def rot_matrices(gates) -> np.ndarray:
+    """(len(gates), 2, 2) array whose row p is the matrix of the Rot gate at
+    position p (zero elsewhere), every Rot compiled in one rot_matrix call."""
     positions = [p for p, g in enumerate(gates) if g.kind == ROT]
-    angles = np.array([gates[p].angles for p in positions], dtype=float).reshape(-1, 3)
-    return dict(zip(positions, rot_matrix(*angles.T)))
+    angles = np.fromiter(chain.from_iterable(gates[p].angles for p in positions), float, 3 * len(positions))
+    mats = np.zeros((len(gates), 2, 2), dtype=complex)
+    mats[positions] = rot_matrix(*angles.reshape(-1, 3).T)
+    return mats
 
 
-def joined_runs(gates, mats: dict[int, np.ndarray], joins=None):
+def same_run(prev: Gate, g: Gate) -> bool:
+    """Whether `g` directly after `prev` extends a run: both Rot, same wire and layer."""
+    return g.kind == ROT == prev.kind and (g.qubit, g.layer) == (prev.qubit, prev.layer)
+
+
+def joined_runs(gates, mats: np.ndarray, joins=None):
     """Yield (first gate, length, matrix) for each maximal run of adjacent Rot
-    gates on one wire and layer, whose neighbours also satisfy `joins(prev,
-    next)` when it is given. The matrix is the product of the run's `mats`
-    (position -> matrix), later gates on the left; any other gate is a run of
-    one with its compiled matrix.
+    gates on one wire and layer (`same_run`), whose neighbours also satisfy
+    `joins(prev, next)` when it is given. The matrix is the product of the
+    run's rows of `mats` (`rot_matrices`), later gates on the left; any other
+    gate is a run of one with its compiled matrix. All runs multiply
+    together, one batched product per position within a run.
     """
-    start, mat = 0, None
+    starts, lengths = [], []
+    prev = None
     for p, g in enumerate(gates):
-        prev = gates[p - 1] if p else None
-        if (
-            prev is not None
-            and g.kind == ROT == prev.kind
-            and (g.qubit, g.layer) == (prev.qubit, prev.layer)
-            and (joins is None or joins(prev, g))
-        ):
-            mat = mats[p] @ mat
-            continue
-        if p:
-            yield gates[start], p - start, mat
-        start, mat = p, mats[p] if g.kind == ROT else compile_gate(g)
-    if gates:
-        yield gates[start], len(gates) - start, mat
+        if prev is not None and same_run(prev, g) and (joins is None or joins(prev, g)):
+            lengths[-1] += 1
+        else:
+            starts.append(p)
+            lengths.append(1)
+        prev = g
+    first, size = np.array(starts, dtype=int), np.array(lengths, dtype=int)
+    products = mats[first]
+    for offset in range(1, max(lengths, default=0)):
+        sel = np.flatnonzero(size > offset)
+        products[sel] = mats[first[sel] + offset] @ products[sel]
+    for p, length, mat in zip(starts, lengths, products):
+        g = gates[p]
+        yield g, length, mat if g.kind == ROT else compile_gate(g)
 
 
 def _fuse(circuit: Circuit, joins) -> tuple[Circuit, int]:
@@ -255,17 +260,27 @@ def apply_gate_sequence(states: np.ndarray, gates, n_qubits: int) -> np.ndarray:
     return states
 
 
-def run(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Forward pass through all gates. Accepts a single state or a batch."""
+def _checked_states(circuit: Circuit, state) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape[-1] != circuit.dim:
         raise ValueError(
             f"state dimension {state.shape[-1]} does not match circuit dim {circuit.dim}"
         )
-    return apply_gate_sequence(state, circuit.gates, circuit.n_qubits)
+    return state
 
 
-def expectation(circuit: Circuit, state: np.ndarray, observable: np.ndarray) -> float:
-    """Real expectation <psi| C^dag O C |psi> of a Hermitian observable."""
-    out = run(circuit, state)
-    return float(np.real(np.vdot(out, observable @ out)))
+def run(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """Forward pass through all gates, one kernel call per gate. Accepts a
+    single state or a batch."""
+    return apply_gate_sequence(_checked_states(circuit, state), circuit.gates, circuit.n_qubits)
+
+
+def run_fused(circuit: Circuit, states: np.ndarray) -> np.ndarray:
+    """Forward pass with each maximal run of adjacent same-wire Rot gates
+    applied as one product matrix (`joined_runs`): the output of
+    `run(fuse_blocks(circuit), states)` without building Gates or Euler
+    angles. Accepts a single state or a batch."""
+    states = _checked_states(circuit, states)
+    for g, _, mat in joined_runs(circuit.gates, rot_matrices(circuit.gates)):
+        states = apply_matrix(states, mat, g.wires(), circuit.n_qubits)
+    return states

@@ -4,32 +4,34 @@ Decisions use the ensemble-average distance d_q computed on each block's
 prefix ensemble (states propagated through the original circuit to the
 block's first gate); the report additionally records the per-state maximum
 so the state-wise bound can be certified. Every Rot matrix is compiled once
-(`circuit.rot_matrices`) and serves both the comparisons and the prefix
-walk, which applies each block's adjacent members as one product: one
-kernel call per block. Replacement is structural: a pruned gate keeps its
-circuit location but carries the reference's unitary. `certify` runs both
-circuits block-fused (`circuit.fuse_blocks`, exact). The reported merged
-gate count joins only runs of identical adjacent gates
-(`merge_adjacent_duplicates`), so it never drops below the one Rot per
+(`circuit.rot_matrices`) and serves both the comparisons, one batched
+`block_comparator` call per block, and the prefix walk, which applies each
+block's adjacent members as one product: one kernel call per block.
+Replacement is structural: a pruned gate keeps its circuit location but
+carries the reference's unitary. `certify` runs both circuits with
+`circuit.run_fused` (one product per block, exact). The reported merged
+gate count joins only runs of identical adjacent gates (the count that
+`merge_adjacent_duplicates` gives), so it never drops below the one Rot per
 block that lossless fusion leaves without pruning anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
+from .circuit import (  # noqa: F401  merge_adjacent_duplicates is re-exported by name
     ROT,
     Circuit,
-    fuse_blocks,
+    Gate,
     joined_runs,
     merge_adjacent_duplicates,
     rot_matrices,
-    run,
+    run_fused,
+    same_run,
 )
-from .linalg import apply_matrix, as_ensemble, operator_norm
+from .linalg import ATOL, apply_matrix, as_ensemble, operator_norm
 from .qmetric import QGeometry, Tolerance, block_comparator, drift_rhs
 
 MODES = ("reference_only", "pairwise_medoid")
@@ -65,7 +67,7 @@ class PruneReport:
     def to_json_dict(self) -> dict:
         """Every field, with the table's short names for the two replaced-gate
         maxima and str keys for dq_values."""
-        doc = asdict(self)
+        doc = dict(vars(self))
         doc["dq_max_repl"] = doc.pop("dq_max_replaced")
         doc["dq_per_state_max_repl"] = doc.pop("dq_per_state_max_replaced")
         doc["dq_values"] = {str(k): v for k, v in sorted(self.dq_values.items())}
@@ -91,7 +93,7 @@ class CertificateRecord:
 
     def to_json_dict(self) -> dict:
         """Every field except the per-state tuples."""
-        doc = asdict(self)
+        doc = dict(vars(self))
         del doc["trace_distances"], doc["obs_drifts"]
         return doc
 
@@ -129,19 +131,19 @@ def partition(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def _medoid(group: tuple[int, ...], mats: dict[int, np.ndarray], compare) -> tuple[int, int]:
+def _medoid(group: tuple[int, ...], mats: np.ndarray, compare) -> tuple[int, int]:
     """Gate minimizing summed d_q to the rest of the group; ties -> smallest id.
 
-    `mats` maps gate ids to matrices and `compare` is the block's
-    `block_comparator`. Returns (gate id, number of pairwise evaluations
-    performed).
+    `mats` holds the matrices by gate id and `compare` is the block's
+    `block_comparator`; each gate is compared with all later ones in one
+    call. Returns (gate id, number of pairwise evaluations performed).
     """
     sums = {gid: 0.0 for gid in group}
     count = 0
     ids = sorted(group)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            d = float(np.mean(compare(mats[a], mats[b])))
+    for i, a in enumerate(ids[:-1]):
+        rest = ids[i + 1 :]
+        for b, d in zip(rest, compare(mats[a], mats[rest]).mean(axis=1).tolist()):
             sums[a] += d
             sums[b] += d
             count += 1
@@ -199,35 +201,33 @@ def prune(
                 selection_comparisons += n_pairs
             else:
                 ref_id = group[0]
-            ref_mat = mats[ref_id]
+            members = [gid for gid in group if gid != ref_id]
+            rows = compare(mats[ref_id], mats[members])
+            comparisons += len(members)
 
-            candidates: list[tuple[float, int, float]] = []
-            for gid in group:
-                if gid == ref_id:
-                    continue
-                terms = compare(ref_mat, mats[gid])
-                d = float(np.mean(terms))
-                comparisons += 1
+            candidates: list[tuple[float, int]] = []
+            for gid, d, worst in zip(members, rows.mean(axis=1).tolist(), rows.max(axis=1).tolist()):
                 dq_values[gid] = d
-                per_state_max[gid] = float(np.max(terms))
+                per_state_max[gid] = worst
                 if d <= eps:
-                    candidates.append((d, gid, per_state_max[gid]))
+                    candidates.append((d, gid))
                 else:
                     kept.append(gid)
-            candidates.sort(key=lambda t: (t[0], t[1]))
+            candidates.sort()
             cap = len(candidates) if max_replace_per_group is None else max_replace_per_group
-            for d, gid, _ in candidates[:cap]:
+            for _, gid in candidates[:cap]:
                 replaced.append(gid)
                 new_angles[gid] = circuit.gates[ref_id].angles
-            for d, gid, _ in candidates[cap:]:
+            for _, gid in candidates[cap:]:
                 kept.append(gid)
             kept.append(ref_id)
         # prefixes for later blocks always come from the original circuit,
         # one kernel call per run of adjacent same-wire gates
         states = apply_matrix(states, run_mat, g.wires(), circuit.n_qubits)
 
+    # the constructor, not dataclasses.replace, which costs several times more
     pruned_gates = tuple(
-        dc_replace(g, angles=new_angles[g.id]) if g.id in new_angles else g
+        Gate(g.id, ROT, g.layer, g.slot, g.qubit, new_angles[g.id]) if g.id in new_angles else g
         for g in circuit.gates
     )
     pruned = Circuit(n_qubits=circuit.n_qubits, depth=circuit.depth, gates=pruned_gates)
@@ -236,7 +236,10 @@ def prune(
     n_rot = circuit.n_rot
     rhs_raw, rhs_clip = drift_rhs(L, eps, geo.M_q)
     violations = sum(1 for gid in replaced if dq_values[gid] > eps)
-    merged, removed = merge_adjacent_duplicates(pruned)
+    # merge_adjacent_duplicates(pruned)[1] without building the merged circuit
+    removed = sum(
+        1 for prev, g in zip(pruned_gates, pruned_gates[1:]) if same_run(prev, g) and prev.angles == g.angles
+    )
 
     report = PruneReport(
         kept=tuple(sorted(kept)),
@@ -255,10 +258,25 @@ def prune(
         violations=violations,
         n_rot=n_rot,
         mode=mode,
-        merged_gate_count=len(merged.gates),
+        merged_gate_count=len(pruned_gates) - removed,
         merged_removed=removed,
     )
     return pruned, report
+
+
+def _checked_observable(observable, dim: int) -> np.ndarray:
+    observable = np.asarray(observable)
+    if observable.shape != (dim, dim):
+        raise ValueError(f"observable shape {observable.shape} is not ({dim}, {dim})")
+    if not np.all(np.isfinite(observable)):
+        raise ValueError("observable has non-finite entries")
+    adjoint = observable.conj().T
+    # exact equality first: it is several times cheaper than the difference
+    if not np.array_equal(observable, adjoint):
+        asymmetry = float(np.max(np.abs(observable - adjoint)))
+        if asymmetry > ATOL:
+            raise ValueError(f"observable is not Hermitian (max |O - O^dag| = {asymmetry:.3g})")
+    return observable
 
 
 def certify(
@@ -274,17 +292,19 @@ def certify(
     ||O||_op * (2L/M_q) sin(eps). The raw bound is never asserted to stay
     below 1; slack records how loose the certificate is. Empirical values
     use the standard inner product (the bound's airtight regime) regardless
-    of the q used for the pruning decision. Both circuits run block-fused
-    (`fuse_blocks`), which is exact, so the certificate describes the
-    circuits as given.
+    of the q used for the pruning decision. Both circuits run with
+    `run_fused` (one product matrix per block), which is exact, so the
+    certificate describes the circuits as given. Raises ValueError unless
+    `observable` is a finite Hermitian (within ATOL) matrix of the
+    circuit's dimension.
     """
     if circuit.n_qubits != pruned.n_qubits or len(circuit.gates) != len(pruned.gates):
         raise ValueError("original and pruned circuits do not match the report")
     states = as_ensemble(ensemble, circuit.dim)
-    observable = np.asarray(observable)
+    observable = _checked_observable(observable, circuit.dim)
 
-    out_a = run(fuse_blocks(circuit), states)
-    out_b = run(fuse_blocks(pruned), states)
+    out_a = run_fused(circuit, states)
+    out_b = run_fused(pruned, states)
     # pure-state trace distance 2 sqrt(1 - |<a|b>|^2); bit-identical outputs give exactly 0
     overlap = np.minimum(1.0, np.abs(np.sum(np.conj(out_a) * out_b, axis=1)))
     tds = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))

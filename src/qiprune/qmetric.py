@@ -110,30 +110,34 @@ def block_comparator(ensemble, geo: QGeometry, wires: list[int]):
     <psi|U^dag V|psi>_q = sum_ab R_ab (U^dag V)_ab and ||psi||_q^2 = tr R.
     Returns `terms(U, V)`, equal to d_q_per_state(U, V, ensemble, geo, wires)
     up to rounding, at O(M 4^k) per call instead of two passes over all 2^n
-    amplitudes. Identical operator arrays give exact zeros, as there.
+    amplitudes. `V` may also be a stack (s, 2^k, 2^k) of operators, each
+    compared with U, giving (s, M) contiguous rows from one product. Operator
+    arrays identical to U give exact zeros, as there.
     """
     states = as_ensemble(ensemble, geo.dim)
     n = n_qubits_of(states[0])
     k = len(wires)
     if len(set(wires)) != k or any(w < 0 or w >= n for w in wires):
         raise ValueError(f"need distinct wires in range for {n} qubits, got {wires}")
-    m = states.shape[0]
-    psi = np.moveaxis(states.reshape((m,) + (2,) * n), [w + 1 for w in wires], list(range(1, k + 1)))
-    psi = psi.reshape(m, 1 << k, -1)
-    g = np.moveaxis(geo.g_diag.reshape((2,) * n), wires, list(range(k))).reshape(1 << k, -1)
-    reduced = np.conj(g * psi) @ psi.transpose(0, 2, 1)
-    norms = np.real(np.trace(reduced, axis1=1, axis2=2))
-    flat = reduced.reshape(m, -1)
+    m, d = states.shape[0], 1 << k
+    # `wires` first, in their order, then the other qubits in theirs
+    order = list(wires) + [q for q in range(n) if q not in wires]
+    psi = states.reshape((m,) + (2,) * n).transpose([0] + [q + 1 for q in order]).reshape(m, d, -1)
+    g = geo.g_diag.reshape((2,) * n).transpose(order).reshape(d, -1)
+    flat_t = (np.conj(g * psi) @ psi.transpose(0, 2, 1)).reshape(m, -1).T
+    norms = np.real(np.sum(flat_t[:: d + 1], axis=0))
+    shape = (d, d)
 
     def terms(U: np.ndarray, V: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=complex)
         V = np.asarray(V, dtype=complex)
-        if U.shape != V.shape or U.shape != (1 << k, 1 << k):
+        if U.shape != shape or V.shape[-2:] != shape or V.ndim not in (2, 3):
             raise ValueError(f"operator shapes {U.shape}, {V.shape} do not match {k} wires")
-        if np.array_equal(U, V):
-            return np.zeros(m)
-        num = np.abs(flat @ (U.conj().T @ V).ravel())
-        return np.arccos(np.clip(num / norms, 0.0, 1.0))
+        stack = V.reshape((-1,) + shape)
+        num = np.abs((U.conj().T @ stack).reshape(len(stack), -1) @ flat_t)
+        out = np.arccos(np.clip(num / norms, 0.0, 1.0))
+        out[np.all(stack == U, axis=(1, 2))] = 0.0
+        return out if V.ndim == 3 else out[0]
 
     return terms
 

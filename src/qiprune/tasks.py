@@ -24,11 +24,9 @@ from .circuit import (
     block_centers,
     build_ansatz,
     cnot_ring,
-    expectation,
-    fuse_blocks,
     rot_derivatives,
     rot_matrix,
-    run,
+    run_fused,
 )
 from .linalg import apply_matrix, as_ensemble, n_qubits_of, operator_norm
 
@@ -260,8 +258,8 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def margins(circuit: Circuit, states: np.ndarray) -> np.ndarray:
-    """<Z0> per sample for a batch of input states, run block-fused (exact)."""
-    return z0_expectation(run(fuse_blocks(circuit), states))
+    """<Z0> per sample for a batch of input states, one product per block (exact)."""
+    return z0_expectation(run_fused(circuit, states))
 
 
 def evaluate_classifier(circuit: Circuit, data: EncodedDataset) -> float:
@@ -492,9 +490,10 @@ def run_vqe(
 
 
 def vqe_energy(circuit: Circuit, spec: TfimSpec, normalized: bool = False) -> float:
-    """<H> of the block-fused (exact) circuit output on |0...0>; optionally
-    divided by ||H||_op."""
-    e = expectation(fuse_blocks(circuit), zero_state(circuit.n_qubits), spec.hamiltonian)
+    """<H> of the circuit output on |0...0>, run with one product per block
+    (exact); optionally divided by ||H||_op."""
+    out = run_fused(circuit, zero_state(circuit.n_qubits))
+    e = float(np.real(np.vdot(out, spec.hamiltonian @ out)))
     if normalized:
         e /= operator_norm(spec.hamiltonian)
     return e

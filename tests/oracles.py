@@ -16,6 +16,7 @@ import numpy as np
 
 from qiprune.circuit import ROT, apply_gate_sequence, compile_gate, rot_matrix
 from qiprune.linalg import apply_matrix
+from qiprune.qmetric import d_q_per_state
 
 
 def embed_kron(mat: np.ndarray, wires: list[int], n_qubits: int) -> np.ndarray:
@@ -101,3 +102,36 @@ def checkpointed_expectations_and_grads(circuit, states, expect_fn):
         for a in range(3):
             grads[idx, a] = 0.5 * (ev[2 * a] - ev[2 * a + 1])
     return values, grads, rot_positions, cur
+
+
+def per_member_dq_values(circuit, states, geo, mode) -> dict[int, float]:
+    """d_q of every non-reference Rot gate against its block's reference, the
+    reference for `pruner.prune`'s batched comparisons.
+
+    The ensemble is walked gate by gate and every pair goes through the
+    two-pass `d_q_per_state`, one call per pair, on the states at the block's
+    first gate. The reference is the block's first gate, or in
+    "pairwise_medoid" mode the member with the smallest summed distance to
+    the others (ties to the smallest id).
+    """
+    n = circuit.n_qubits
+    blocks: dict[tuple[int, int], list] = {}
+    for g in circuit.gates:
+        if g.kind == ROT:
+            blocks.setdefault((g.layer, g.qubit), []).append(g)
+    out = {}
+    cur = states
+    for g in circuit.gates:
+        if g.kind == ROT and g.slot == 0:
+            mats = {m.id: compile_gate(m) for m in blocks[(g.layer, g.qubit)]}
+
+            def dist(a, b):
+                return float(np.mean(d_q_per_state(mats[a], mats[b], cur, geo, wires=[g.qubit])))
+
+            ref = min(mats)
+            if mode == "pairwise_medoid":
+                # each pair is scored once, smaller id first (d_q is not symmetric at q != 1)
+                ref = min(mats, key=lambda a: (sum(dist(min(a, b), max(a, b)) for b in mats if b != a), a))
+            out.update((gid, dist(ref, gid)) for gid in mats if gid != ref)
+        cur = apply_matrix(cur, compile_gate(g), g.wires(), n)
+    return out

@@ -14,11 +14,11 @@ from qiprune.circuit import (
     block_centers,
     build_ansatz,
     compile_gate,
-    expectation,
     fuse_blocks,
     rot_derivatives,
     rot_matrix,
     run,
+    run_fused,
     zyz_angles,
 )
 from qiprune.linalg import random_state, unitarity_deviation
@@ -248,6 +248,66 @@ class TestFuseBlocks:
         assert fuse_blocks(Circuit(2, 1, ())) == Circuit(2, 1, ())
 
 
+class TestRunFused:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_run_on_random_depth2(self, n, seed):
+        circ = build_ansatz(n, 2, sigma=0.4, seed=seed)
+        rng = np.random.default_rng(seed)
+        states = np.array([random_state(n, rng) for _ in range(4)])
+        got = run_fused(circ, states)
+        np.testing.assert_allclose(got, run(circ, states), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, run(fuse_blocks(circ), states), rtol=0, atol=1e-12)
+
+    def test_cnot_only_and_empty_circuits(self):
+        rng = np.random.default_rng(16)
+        states = np.array([random_state(3, rng) for _ in range(3)])
+        gates = tuple(Gate(i, CNOT, 0, i, control=i, target=(i + 1) % 3) for i in range(3))
+        for circ in (Circuit(3, 1, gates), Circuit(3, 1, ())):
+            got = run_fused(circ, states)
+            np.testing.assert_allclose(got, run(circ, states), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, run(fuse_blocks(circ), states), rtol=0, atol=1e-12)
+
+    def test_single_state_and_dimension_check(self):
+        circ = build_ansatz(2, 1, sigma=0.1, seed=4)
+        psi = random_state(2, np.random.default_rng(17))
+        out = run_fused(circ, psi)
+        assert out.shape == (4,)
+        np.testing.assert_allclose(out, run(circ, psi), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="does not match"):
+            run_fused(circ, basis(3, 0))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"task": "tfim", "n_qubits": 3, "vqe_iters": 1}, {"task": "bas", "train_epochs": 0}],
+)
+def test_grid_point_builds_no_euler_angles_or_rot_matrices_one_by_one(monkeypatch, overrides):
+    # every output pass applies joined_runs' products: no Rot gate goes through
+    # compile_gate and no product goes back to ZYZ angles
+    import qiprune.circuit
+    from qiprune import cli
+
+    ctx = cli.prepare_task(cli.RunConfig(depth=1, M=4, seed=0, **overrides))
+    compiled, angles = [], []
+    compile_original, zyz_original = qiprune.circuit.compile_gate, qiprune.circuit.zyz_angles
+
+    def counted_compile(g):
+        compiled.append(g.kind)
+        return compile_original(g)
+
+    def counted_zyz(mat):
+        angles.append(1)
+        return zyz_original(mat)
+
+    monkeypatch.setattr(qiprune.circuit, "compile_gate", counted_compile)
+    monkeypatch.setattr(qiprune.circuit, "zyz_angles", counted_zyz)
+    result = cli.run_grid_point(ctx, 0.02, 0.003)
+    assert result["report"].L > 0
+    assert angles == [] and ROT not in compiled
+    assert CNOT in compiled
+
+
 class TestZyzAngles:
     def test_reconstructs_random_products(self):
         rng = np.random.default_rng(14)
@@ -266,12 +326,3 @@ class TestZyzAngles:
 
     def test_minus_identity(self):
         np.testing.assert_allclose(rot_matrix(*zyz_angles(-np.eye(2, dtype=complex))), -np.eye(2), atol=1e-12)
-
-
-def test_expectation_matches_manual():
-    rng = np.random.default_rng(15)
-    circ = build_ansatz(2, 1, sigma=0.2, seed=3)
-    psi = random_state(2, rng)
-    obs = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    out = run(circ, psi)
-    assert expectation(circ, psi, obs) == pytest.approx(float(np.real(np.vdot(out, obs @ out))))

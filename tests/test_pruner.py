@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary
+from oracles import circuit_unitary, per_member_dq_values
 
 from qiprune.circuit import CNOT, ROT, Circuit, Gate, build_ansatz, compile_gate, fuse_blocks, run
 from qiprune.linalg import pure_trace_distance, random_state
 from qiprune.pruner import (
+    MODES,
     certify,
     merge_adjacent_duplicates,
     partition,
@@ -227,11 +228,38 @@ class TestMerge:
         psi = random_state(1, np.random.default_rng(14))
         np.testing.assert_allclose(run(merged, psi), run(circ, psi), atol=1e-12)
 
+    def test_report_count_matches_merged_circuit(self):
+        # prune counts equal-angle adjacent pairs; merge_adjacent_duplicates builds the circuit
+        rng = np.random.default_rng(30)
+        for trial in range(12):
+            n = int(rng.integers(1, 4))
+            circ = build_ansatz(n, 2, sigma=float(rng.choice([0.0, 0.005, 0.02])), seed=trial)
+            geo = build_geometry(n, 1.0)
+            tol = calibrate_epsilon(float(rng.choice([0.01, 0.05])), geo)
+            cap = [None, 1, 2][trial % 3]
+            mode = MODES[trial % 2]
+            pruned, report = prune(circ, ensemble(n, 4, trial), geo, tol, mode=mode, max_replace_per_group=cap)
+            merged, removed = merge_adjacent_duplicates(pruned)
+            assert report.merged_removed == removed
+            assert report.merged_gate_count == len(merged.gates)
+
     def test_no_duplicates_is_identity(self):
         circ = build_ansatz(2, 1, sigma=0.5, seed=15)
         merged, removed = merge_adjacent_duplicates(circ)
         assert removed == 0
         assert merged == circ
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dq_values_match_per_member_reference(mode):
+    circ = build_ansatz(3, 2, sigma=0.05, seed=31)
+    geo = build_geometry(3, 1.2)
+    ens = ensemble(3, 6, 31)
+    _, report = prune(circ, ens, geo, calibrate_epsilon(0.05, geo), mode=mode)
+    expected = per_member_dq_values(circ, ens, geo, mode)
+    assert sorted(report.dq_values) == sorted(expected)
+    for gid, d in expected.items():
+        assert abs(report.dq_values[gid] - d) <= 1e-12
 
 
 class TestCertify:
@@ -374,6 +402,23 @@ class TestCertify:
         for a, b in ((circ, pruned), (fuse_blocks(circ), fuse_blocks(pruned))):
             cert = certify(report, a, b, ens, z0_observable(n))
             np.testing.assert_allclose(cert.trace_distances, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "observable, message",
+        [
+            (np.full((4, 4), np.nan), "non-finite"),
+            (np.eye(3), "shape"),
+            (np.diag([1.0, np.inf, -1.0, -1.0]), "non-finite"),
+            (z0_observable(2) + 1e-6 * np.eye(4, k=1), "Hermitian"),
+        ],
+    )
+    def test_bad_observable_rejected(self, observable, message):
+        circ = build_ansatz(2, 1, sigma=0.01, seed=20)
+        geo = build_geometry(2, 1.0)
+        ens = ensemble(2, 3, 20)
+        pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.01, geo))
+        with pytest.raises(ValueError, match=message):
+            certify(report, circ, pruned, ens, observable)
 
     def test_mismatched_circuits_rejected(self):
         circ = build_ansatz(2, 1, sigma=0.01, seed=20)

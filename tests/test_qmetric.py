@@ -146,6 +146,30 @@ class TestDq:
                     np.testing.assert_allclose(got[far], ref[far], rtol=0, atol=1e-12)
                 np.testing.assert_array_equal(compare(u, u.copy()), np.zeros(len(ens)))
 
+    @pytest.mark.parametrize("wires", [[1], [2, 0]])
+    def test_block_comparator_stack_matches_member_calls(self, wires):
+        rng = np.random.default_rng(24)
+        geo = build_geometry(3, 1.2)
+        ens = np.array([random_state(3, rng) for _ in range(7)])
+        compare = block_comparator(ens, geo, wires)
+        dim = 1 << len(wires)
+        u = haar_unitary(dim, rng)
+        stack = np.array([haar_unitary(dim, rng) for _ in range(4)] + [u.copy()])
+        rows = compare(u, stack)
+        assert rows.shape == (5, len(ens)) and rows.flags.c_contiguous
+        for row, v in zip(rows, stack):
+            np.testing.assert_allclose(row, compare(u, v), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(rows[4], np.zeros(len(ens)))
+        np.testing.assert_array_equal(compare(u, np.array([u, u])), np.zeros((2, len(ens))))
+
+    def test_block_comparator_rejects_misshapen_stacks(self):
+        geo = build_geometry(2, 1.0)
+        compare = block_comparator([basis(2, 0)], geo, [0])
+        eye = np.eye(2, dtype=complex)
+        for bad in (np.zeros((3, 4, 4)), np.zeros((2, 2, 2, 2)), np.zeros((3, 2, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match="do not match"):
+                compare(eye, bad)
+
     def test_block_comparator_errors(self):
         geo = build_geometry(2, 1.0)
         ens = [basis(2, 0)]

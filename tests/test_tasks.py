@@ -426,7 +426,7 @@ def test_training_loops_build_no_circuit(monkeypatch):
     import qiprune.tasks
 
     calls = []
-    for name in ("build_ansatz", "fuse_blocks"):
+    for name in ("build_ansatz", "run_fused"):
         original = getattr(qiprune.tasks, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
