@@ -25,7 +25,7 @@ from .qmetric import (
     q_inner,
     statewise_deviation_bound,
 )
-from .circuit import Circuit, Gate, build_ansatz, compile_gate, fuse_blocks, run, run_fused
+from .circuit import Circuit, Gate, build_ansatz, compile_gate, run, run_fused
 from .pruner import (
     CertificateRecord,
     PruneReport,
@@ -77,7 +77,6 @@ __all__ = [
     "Gate",
     "build_ansatz",
     "compile_gate",
-    "fuse_blocks",
     "run",
     "run_fused",
     "CertificateRecord",

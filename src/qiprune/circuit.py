@@ -5,18 +5,25 @@ gates (the candidate pool) sampled around a per-block center, followed by a
 ring of CNOTs. Rot(alpha, beta, gamma) compiles to Rz(gamma) Ry(beta)
 Rz(alpha) (ZYZ, alpha applied first). Pool noise is drawn once per seed as
 unit normals and scaled by sigma, so sweeps over sigma with a fixed seed
-share the same perturbation directions. `run` applies one kernel call per
-gate; output-only passes use `run_fused`, which applies each run of adjacent
-same-wire Rot gates as one product matrix (exact, no Gate objects built).
-`fuse_blocks` returns that fused circuit as Gates when one is wanted.
+share the same perturbation directions.
+
+That gate order is the one block layout the package computes on.
+`block_members` reads and checks a circuit's member angles as an
+(n_qubits, depth, BLOCK_SIZE, 3) array, `block_products` multiplies each
+block's member matrices into one 2x2 product, and `block_walk` applies the
+products and the CNOT rings in execution order, one kernel call each.
+`run_fused` is that walk; training, VQE and `pruner.prune` use the same
+three. `run` applies one kernel call per gate and executes any gate
+sequence.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -151,22 +158,14 @@ def build_ansatz(
     noise_rng = np.random.default_rng([seed, 0])
     xi = noise_rng.standard_normal(size=(depth, n_qubits, BLOCK_SIZE, 3))
 
-    # (depth, n_qubits, BLOCK_SIZE, 3) member angles as Python floats in one call
-    members = (np.swapaxes(centers, 0, 1)[:, :, None, :] + sigma * xi).tolist()
-
-    gates: list[Gate] = []
-    gid = 0
-    for layer in range(depth):
-        for qubit in range(n_qubits):
-            for slot in range(BLOCK_SIZE):
-                gates.append(Gate(gid, ROT, layer, slot, qubit, tuple(members[layer][qubit][slot])))
-                gid += 1
-        for i, (control, target) in enumerate(cnot_ring(n_qubits)):
-            gates.append(
-                Gate(id=gid, kind=CNOT, layer=layer, slot=i, control=control, target=target)
-            )
-            gid += 1
-    return Circuit(n_qubits=n_qubits, depth=depth, gates=tuple(gates))
+    # (depth, n_qubits, BLOCK_SIZE, 3) member angles as Python floats in one call,
+    # in the layout's order of Rot gates
+    members = iter((np.swapaxes(centers, 0, 1)[:, :, None, :] + sigma * xi).reshape(-1, 3).tolist())
+    gates = tuple(
+        Gate(gid, kind, layer, slot, qubit, tuple(next(members)) if kind == ROT else None, control, target)
+        for gid, (kind, layer, slot, qubit, control, target) in enumerate(_layout(n_qubits, depth))
+    )
+    return Circuit(n_qubits=n_qubits, depth=depth, gates=gates)
 
 
 def cnot_ring(n_qubits: int) -> list[list[int]]:
@@ -177,80 +176,81 @@ def cnot_ring(n_qubits: int) -> list[list[int]]:
     return [[i, (i + 1) % n_qubits] for i in range(n_qubits)]
 
 
+@functools.lru_cache(maxsize=16)
+def _layout(n_qubits: int, depth: int) -> tuple[tuple, ...]:
+    """(kind, layer, slot, qubit, control, target) of every gate of the ansatz
+    layout in execution order: per layer, each qubit's BLOCK_SIZE Rot gates
+    in slot order, then the layer's `cnot_ring`."""
+    entries: list[tuple] = []
+    for layer in range(depth):
+        entries += [(ROT, layer, slot, q, None, None) for q in range(n_qubits) for slot in range(BLOCK_SIZE)]
+        entries += [(CNOT, layer, i, None, c, t) for i, (c, t) in enumerate(cnot_ring(n_qubits))]
+    return tuple(entries)
+
+
+def _describe(entries: tuple, pos: int) -> str:
+    if pos >= len(entries):
+        return "absent"
+    kind, layer, slot, qubit, control, target = entries[pos]
+    wires = f"qubit {qubit}" if kind == ROT else f"wires {control}->{target}"
+    return f"{kind} (layer {layer}, slot {slot}, {wires})"
+
+
+def block_members(circuit: Circuit) -> np.ndarray:
+    """Member angles (n_qubits, depth, BLOCK_SIZE, 3) of a circuit in the ansatz
+    layout `build_ansatz` builds: per layer, each qubit's BLOCK_SIZE Rot gates
+    in slot order, then the layer's `cnot_ring`.
+
+    Raises ValueError naming the first gate that departs from that layout
+    (gate ids are not checked). `run` executes any gate sequence.
+    """
+    n, depth = circuit.n_qubits, circuit.depth
+    if n < 1 or depth < 1:
+        raise ValueError(f"the ansatz layout needs n_qubits >= 1 and depth >= 1, got {n}, {depth}")
+    layout = _layout(n, depth)
+    found = tuple((g.kind, g.layer, g.slot, g.qubit, g.control, g.target) for g in circuit.gates)
+    if found != layout:
+        pos = next(p for p, (a, b) in enumerate(zip_longest(found, layout)) if a != b)
+        raise ValueError(
+            f"not a {n}-qubit depth-{depth} ansatz: gate {pos} is {_describe(found, pos)}, "
+            f"not {_describe(layout, pos)}"
+        )
+    angles = np.fromiter(
+        chain.from_iterable(g.angles for g in circuit.gates if g.kind == ROT), float, n * depth * BLOCK_SIZE * 3
+    )
+    return angles.reshape(depth, n, BLOCK_SIZE, 3).swapaxes(0, 1)
+
+
 def block_centers(circuit: Circuit) -> np.ndarray:
-    """Per-block center angles read from slot-0 gates; exact for sigma = 0 circuits."""
-    centers = np.zeros((circuit.n_qubits, circuit.depth, 3))
-    for g in circuit.gates:
-        if g.kind == ROT and g.slot == 0:
-            centers[g.qubit, g.layer] = g.angles
-    return centers
+    """Per-block center angles (n_qubits, depth, 3), the slot-0 members; exact for
+    sigma = 0 circuits. Raises ValueError outside the ansatz layout."""
+    return block_members(circuit)[:, :, 0]
 
 
-def rot_matrices(gates) -> np.ndarray:
-    """(len(gates), 2, 2) array whose row p is the matrix of the Rot gate at
-    position p (zero elsewhere), every Rot compiled in one rot_matrix call."""
-    positions = [p for p, g in enumerate(gates) if g.kind == ROT]
-    angles = np.fromiter(chain.from_iterable(gates[p].angles for p in positions), float, 3 * len(positions))
-    mats = np.zeros((len(gates), 2, 2), dtype=complex)
-    mats[positions] = rot_matrix(*angles.reshape(-1, 3).T)
-    return mats
+def block_products(mats: np.ndarray) -> np.ndarray:
+    """Each block's product R_4 ... R_0, (n_qubits, depth, 2, 2), of its member
+    matrices (n_qubits, depth, BLOCK_SIZE, 2, 2)."""
+    prod = mats[:, :, 0]
+    for s in range(1, BLOCK_SIZE):
+        prod = mats[:, :, s] @ prod
+    return prod
 
 
-def same_run(prev: Gate, g: Gate) -> bool:
-    """Whether `g` directly after `prev` extends a run: both Rot, same wire and layer."""
-    return g.kind == ROT == prev.kind and (g.qubit, g.layer) == (prev.qubit, prev.layer)
-
-
-def joined_runs(gates, mats: np.ndarray, joins=None):
-    """Yield (first gate, length, matrix) for each maximal run of adjacent Rot
-    gates on one wire and layer (`same_run`), whose neighbours also satisfy
-    `joins(prev, next)` when it is given. The matrix is the product of the
-    run's rows of `mats` (`rot_matrices`), later gates on the left; any other
-    gate is a run of one with its compiled matrix. All runs multiply
-    together, one batched product per position within a run.
-    """
-    starts, lengths = [], []
-    prev = None
-    for p, g in enumerate(gates):
-        if prev is not None and same_run(prev, g) and (joins is None or joins(prev, g)):
-            lengths[-1] += 1
-        else:
-            starts.append(p)
-            lengths.append(1)
-        prev = g
-    first, size = np.array(starts, dtype=int), np.array(lengths, dtype=int)
-    products = mats[first]
-    for offset in range(1, max(lengths, default=0)):
-        sel = np.flatnonzero(size > offset)
-        products[sel] = mats[first[sel] + offset] @ products[sel]
-    for p, length, mat in zip(starts, lengths, products):
-        g = gates[p]
-        yield g, length, mat if g.kind == ROT else compile_gate(g)
-
-
-def _fuse(circuit: Circuit, joins) -> tuple[Circuit, int]:
-    """Each joined run as one gate carrying the ZYZ angles of its product
-    (ids renumbered), and the number of gates removed."""
-    fused: list[Gate] = []
-    for g, length, mat in joined_runs(circuit.gates, rot_matrices(circuit.gates), joins):
-        angles = zyz_angles(mat) if length > 1 else g.angles
-        # the constructor, not dataclasses.replace, which costs several times more
-        fused.append(Gate(len(fused), g.kind, g.layer, g.slot, g.qubit, angles, g.control, g.target))
-    return Circuit(circuit.n_qubits, circuit.depth, tuple(fused)), len(circuit.gates) - len(fused)
-
-
-def fuse_blocks(circuit: Circuit) -> Circuit:
-    """The circuit with each maximal run of adjacent same-wire Rot gates of a
-    layer joined into one Rot; CNOTs are kept. Lossless: a product of det-1
-    rotations is a det-1 rotation. Ids are renumbered.
-    """
-    return _fuse(circuit, None)[0]
-
-
-def merge_adjacent_duplicates(circuit: Circuit) -> tuple[Circuit, int]:
-    """Join only runs of identical adjacent Rot gates, like `fuse_blocks`;
-    returns the merged circuit and the number of gates removed."""
-    return _fuse(circuit, lambda prev, g: prev.angles == g.angles)
+def block_walk(blocks: np.ndarray, states: np.ndarray, visit=None) -> np.ndarray:
+    """Apply per-block matrices (n_qubits, depth, 2, 2) in the ansatz layout's
+    order: per layer, each qubit's block, then the layer's CNOT ring. One
+    kernel call per block and per CNOT. `visit(qubit, layer, states)`, when
+    given, sees the states entering each block before it is applied."""
+    n, depth = blocks.shape[:2]
+    ring = cnot_ring(n)
+    for layer in range(depth):
+        for q in range(n):
+            if visit is not None:
+                visit(q, layer, states)
+            states = apply_matrix(states, blocks[q, layer], [q], n)
+        for wires in ring:
+            states = apply_matrix(states, CNOT_MATRIX, wires, n)
+    return states
 
 
 def apply_gate_sequence(states: np.ndarray, gates, n_qubits: int) -> np.ndarray:
@@ -276,11 +276,10 @@ def run(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def run_fused(circuit: Circuit, states: np.ndarray) -> np.ndarray:
-    """Forward pass with each maximal run of adjacent same-wire Rot gates
-    applied as one product matrix (`joined_runs`): the output of
-    `run(fuse_blocks(circuit), states)` without building Gates or Euler
-    angles. Accepts a single state or a batch."""
+    """Forward pass with each block applied as one product matrix: `block_walk`
+    over the `block_products` of `block_members`. Equal to `run` up to
+    rounding, without building Gates or Euler angles. Accepts a single state
+    or a batch; raises ValueError outside the ansatz layout."""
     states = _checked_states(circuit, states)
-    for g, _, mat in joined_runs(circuit.gates, rot_matrices(circuit.gates)):
-        states = apply_matrix(states, mat, g.wires(), circuit.n_qubits)
-    return states
+    mats = rot_matrix(*np.moveaxis(block_members(circuit), -1, 0))
+    return block_walk(block_products(mats), states)

@@ -165,7 +165,7 @@ def _field_kind(hint) -> tuple[type, bool]:
 FIELD_KINDS = {name: _field_kind(hint) for name, hint in get_type_hints(RunConfig).items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskContext:
     """Trained baseline and task ensemble shared across a (delta, sigma) grid."""
 
@@ -263,12 +263,15 @@ def run_grid_point(ctx: TaskContext, delta: float, sigma: float) -> dict:
     else:
         m_base = vqe_energy(baseline, ctx.tfim, normalized=True)
         m_pruned = vqe_energy(pruned, ctx.tfim, normalized=True)
-    report.metric_name = ctx.metric_name
-    report.metric_base = m_base
-    report.metric_pruned = m_pruned
-    report.metric_drop = m_base - m_pruned
-    report.seed = config.seed
-    report.config_hash = config.hash()
+    report = dc_replace(
+        report,
+        metric_name=ctx.metric_name,
+        metric_base=m_base,
+        metric_pruned=m_pruned,
+        metric_drop=m_base - m_pruned,
+        seed=config.seed,
+        config_hash=config.hash(),
+    )
     cert = certify(report, baseline, pruned, ctx.ensemble_states, ctx.observable)
 
     doc = report.to_json_dict()

@@ -1,43 +1,48 @@
 """One-shot structured pruning: block partition, reference choice, replacement.
 
-Decisions use the ensemble-average distance d_q computed on each block's
-prefix ensemble (states propagated through the original circuit to the
-block's first gate); the report additionally records the per-state maximum
-so the state-wise bound can be certified. Every Rot matrix is compiled once
-(`circuit.rot_matrices`) and serves both the comparisons, one batched
-`block_comparator` call per block, and the prefix walk, which applies each
-block's adjacent members as one product: one kernel call per block.
-Replacement is structural: a pruned gate keeps its circuit location but
-carries the reference's unitary. `certify` runs both circuits with
-`circuit.run_fused` (one product per block, exact). The reported merged
-gate count joins only runs of identical adjacent gates (the count that
-`merge_adjacent_duplicates` gives), so it never drops below the one Rot per
-block that lossless fusion leaves without pruning anything.
+Blocks are those of the ansatz layout in `circuit`: `partition` checks it and
+names each block's gate ids. Decisions use the ensemble-average distance d_q
+computed on each block's prefix ensemble (states propagated through the
+original circuit to the block's first gate); the report additionally
+records the per-state maximum so the state-wise bound can be certified.
+`prune` compiles the `circuit.block_members` array in one `rot_matrix` call
+and uses it for the comparisons, one batched `block_comparator` call per
+block, for the medoid, and for the prefix walk, `circuit.block_walk` over
+the `block_products`. Replacement is structural: a pruned gate keeps its
+circuit location but carries the reference's unitary. `certify` runs both
+circuits with `circuit.run_fused` (one product per block, exact). The
+reported merged gate count joins only runs of identical adjacent members
+(the count that `merge_adjacent_duplicates` gives), so it never drops below
+the one Rot per block that lossless fusion leaves without pruning anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .circuit import (  # noqa: F401  merge_adjacent_duplicates is re-exported by name
+from .circuit import (
+    BLOCK_SIZE,
     ROT,
     Circuit,
     Gate,
-    joined_runs,
-    merge_adjacent_duplicates,
-    rot_matrices,
+    block_members,
+    block_products,
+    block_walk,
+    cnot_ring,
+    rot_matrix,
     run_fused,
-    same_run,
+    zyz_angles,
 )
-from .linalg import ATOL, apply_matrix, as_ensemble, operator_norm
+from .linalg import ATOL, as_ensemble, operator_norm
 from .qmetric import QGeometry, Tolerance, block_comparator, drift_rhs
 
 MODES = ("reference_only", "pairwise_medoid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PruneReport:
     kept: tuple[int, ...]
     replaced: tuple[int, ...]
@@ -103,51 +108,43 @@ CERT_TOL = 1e-9
 
 
 def partition(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
-    """One group of Rot-gate ids per (layer, qubit) block, in ascending id order.
+    """One group of Rot-gate ids per (layer, qubit) block, in execution order.
 
     A group's first id is its default reference. Single-qubit rotation
     blocks are closed under composition and inversion by construction. CNOT
-    gates are never pruning candidates.
+    gates are never pruning candidates. Raises ValueError unless gate ids
+    equal execution positions and the circuit has the ansatz layout
+    (`circuit.block_members`).
     """
-    # gate ids double as indices into circuit.gates throughout this module
+    # reports name gates by id, and the group ids below are execution positions
     for pos, g in enumerate(circuit.gates):
         if g.id != pos:
             raise ValueError(
                 f"gate ids must equal execution positions (gate {g.id} at position {pos})"
             )
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for g in circuit.gates:
-        if g.kind == ROT:
-            blocks.setdefault((g.layer, g.qubit), []).append(g.id)
-    if not blocks:
-        raise ValueError("circuit has no rotation gates to partition")
-    groups = []
-    for key in sorted(blocks):
-        ids = sorted(blocks[key])
-        slots = sorted(circuit.gates[i].slot for i in ids)
-        if slots != list(range(len(ids))):
-            raise ValueError(f"block {key} has non-contiguous slots {slots}")
-        groups.append(tuple(ids))
-    return tuple(groups)
+    block_members(circuit)
+    n = circuit.n_qubits
+    layer_len = n * BLOCK_SIZE + len(cnot_ring(n))
+    starts = (layer * layer_len + q * BLOCK_SIZE for layer in range(circuit.depth) for q in range(n))
+    return tuple(tuple(range(start, start + BLOCK_SIZE)) for start in starts)
 
 
-def _medoid(group: tuple[int, ...], mats: np.ndarray, compare) -> tuple[int, int]:
-    """Gate minimizing summed d_q to the rest of the group; ties -> smallest id.
+def _medoid(block: np.ndarray, compare) -> tuple[int, int]:
+    """Slot whose member minimizes summed d_q to the rest of the block; ties ->
+    smallest slot.
 
-    `mats` holds the matrices by gate id and `compare` is the block's
-    `block_comparator`; each gate is compared with all later ones in one
-    call. Returns (gate id, number of pairwise evaluations performed).
+    `block` holds the members' matrices by slot and `compare` is the block's
+    `block_comparator`; each member is compared with all later ones in one
+    call. Returns (slot, number of pairwise evaluations performed).
     """
-    sums = {gid: 0.0 for gid in group}
+    sums = [0.0] * len(block)
     count = 0
-    ids = sorted(group)
-    for i, a in enumerate(ids[:-1]):
-        rest = ids[i + 1 :]
-        for b, d in zip(rest, compare(mats[a], mats[rest]).mean(axis=1).tolist()):
+    for a in range(len(block) - 1):
+        for b, d in enumerate(compare(block[a], block[a + 1 :]).mean(axis=1).tolist(), a + 1):
             sums[a] += d
             sums[b] += d
             count += 1
-    best = min(ids, key=lambda gid: (sums[gid], gid))
+    best = min(range(len(block)), key=lambda s: (sums[s], s))
     return best, count
 
 
@@ -161,13 +158,14 @@ def prune(
 ) -> tuple[Circuit, PruneReport]:
     """One-shot redundancy pruning with structured replacement.
 
-    Partitions the circuit into blocks (`partition`), then walks it once,
-    propagating the ensemble through the original gates; at each block it
-    compares every non-reference member against the reference (the block's
-    first gate, or its medoid in "pairwise_medoid" mode) on the block-prefix
-    ensemble and replaces it when the mean distance is within epsilon_q. `max_replace_per_group` optionally caps
-    replacements per block (smallest distances first); the default replaces
-    every qualifying gate.
+    Checks the block layout (`partition`), then walks the original
+    circuit once with `circuit.block_walk`, propagating the ensemble through
+    each block's product; at each block it compares every non-reference
+    member against the reference (the block's first member, or its medoid in
+    "pairwise_medoid" mode) on the block-prefix ensemble and replaces it when
+    the mean distance is within epsilon_q. `max_replace_per_group`
+    optionally caps replacements per block (smallest distances first); the
+    default replaces every qualifying gate.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (expected one of {MODES})")
@@ -176,58 +174,56 @@ def prune(
             f"max_replace_per_group must be >= 1 when set, got {max_replace_per_group}"
         )
     groups = partition(circuit)
+    members = block_members(circuit)
     states = as_ensemble(ensemble, circuit.dim)
     if geo.dim != circuit.dim:
         raise ValueError(f"geometry dim {geo.dim} does not match circuit dim {circuit.dim}")
 
-    group_at = {group[0]: group for group in groups}
     eps = tol.epsilon_q
-
-    new_angles: dict[int, tuple[float, float, float]] = {}
+    cap = BLOCK_SIZE if max_replace_per_group is None else max_replace_per_group
+    # every member compiled in one call, for the comparisons and the walk alike
+    mats = rot_matrix(*np.moveaxis(members, -1, 0))
+    pruned_members = members.copy()
     dq_values: dict[int, float] = {}
     per_state_max: dict[int, float] = {}
     replaced: list[int] = []
     kept: list[int] = []
-    comparisons = 0
     selection_comparisons = 0
 
-    mats = rot_matrices(circuit.gates)
-    for g, _, run_mat in joined_runs(circuit.gates, mats):
-        if g.id in group_at:
-            group = group_at[g.id]
-            compare = block_comparator(states, geo, [g.qubit])
-            if mode == "pairwise_medoid":
-                ref_id, n_pairs = _medoid(group, mats, compare)
-                selection_comparisons += n_pairs
+    def decide(qubit: int, layer: int, prefix: np.ndarray) -> None:
+        nonlocal selection_comparisons
+        block, gids = mats[qubit, layer], groups[layer * circuit.n_qubits + qubit]
+        compare = block_comparator(prefix, geo, [qubit])
+        if mode == "pairwise_medoid":
+            ref, n_pairs = _medoid(block, compare)
+            selection_comparisons += n_pairs
+        else:
+            ref = 0
+        others = [s for s in range(BLOCK_SIZE) if s != ref]
+        rows = compare(block[ref], block[others])
+
+        candidates: list[tuple[float, int]] = []
+        for s, d, worst in zip(others, rows.mean(axis=1).tolist(), rows.max(axis=1).tolist()):
+            dq_values[gids[s]] = d
+            per_state_max[gids[s]] = worst
+            if d <= eps:
+                candidates.append((d, s))
             else:
-                ref_id = group[0]
-            members = [gid for gid in group if gid != ref_id]
-            rows = compare(mats[ref_id], mats[members])
-            comparisons += len(members)
+                kept.append(gids[s])
+        candidates.sort()
+        for _, s in candidates[:cap]:
+            replaced.append(gids[s])
+            pruned_members[qubit, layer, s] = members[qubit, layer, ref]
+        kept.extend(gids[s] for _, s in candidates[cap:])
+        kept.append(gids[ref])
 
-            candidates: list[tuple[float, int]] = []
-            for gid, d, worst in zip(members, rows.mean(axis=1).tolist(), rows.max(axis=1).tolist()):
-                dq_values[gid] = d
-                per_state_max[gid] = worst
-                if d <= eps:
-                    candidates.append((d, gid))
-                else:
-                    kept.append(gid)
-            candidates.sort()
-            cap = len(candidates) if max_replace_per_group is None else max_replace_per_group
-            for _, gid in candidates[:cap]:
-                replaced.append(gid)
-                new_angles[gid] = circuit.gates[ref_id].angles
-            for _, gid in candidates[cap:]:
-                kept.append(gid)
-            kept.append(ref_id)
-        # prefixes for later blocks always come from the original circuit,
-        # one kernel call per run of adjacent same-wire gates
-        states = apply_matrix(states, run_mat, g.wires(), circuit.n_qubits)
+    # prefixes for later blocks always come from the original circuit
+    block_walk(block_products(mats), states, decide)
 
-    # the constructor, not dataclasses.replace, which costs several times more
+    # a replaced gate keeps its location and takes the reference's angles
+    rows = iter(pruned_members.swapaxes(0, 1).reshape(-1, 3).tolist())
     pruned_gates = tuple(
-        Gate(g.id, ROT, g.layer, g.slot, g.qubit, new_angles[g.id]) if g.id in new_angles else g
+        Gate(g.id, ROT, g.layer, g.slot, g.qubit, tuple(next(rows))) if g.kind == ROT else g
         for g in circuit.gates
     )
     pruned = Circuit(n_qubits=circuit.n_qubits, depth=circuit.depth, gates=pruned_gates)
@@ -236,10 +232,8 @@ def prune(
     n_rot = circuit.n_rot
     rhs_raw, rhs_clip = drift_rhs(L, eps, geo.M_q)
     violations = sum(1 for gid in replaced if dq_values[gid] > eps)
-    # merge_adjacent_duplicates(pruned)[1] without building the merged circuit
-    removed = sum(
-        1 for prev, g in zip(pruned_gates, pruned_gates[1:]) if same_run(prev, g) and prev.angles == g.angles
-    )
+    # merge_adjacent_duplicates(pruned)[1]: equal adjacent members of a block
+    removed = int(np.all(pruned_members[:, :, 1:] == pruned_members[:, :, :-1], axis=-1).sum())
 
     report = PruneReport(
         kept=tuple(sorted(kept)),
@@ -253,7 +247,8 @@ def prune(
         M_q=geo.M_q,
         rhs_raw=rhs_raw,
         rhs_clip=rhs_clip,
-        comparisons=comparisons,
+        # one comparison with the reference per scored member
+        comparisons=len(dq_values),
         selection_comparisons=selection_comparisons,
         violations=violations,
         n_rot=n_rot,
@@ -262,6 +257,28 @@ def prune(
         merged_removed=removed,
     )
     return pruned, report
+
+
+def merge_adjacent_duplicates(circuit: Circuit) -> tuple[Circuit, int]:
+    """The circuit with each run of identical adjacent Rot gates on one wire
+    and layer joined into one Rot carrying the `zyz_angles` of the run's
+    product (lossless), and the number of gates removed. Other gates are
+    kept; ids are renumbered. Takes any gate sequence."""
+    merged: list[Gate] = []
+    runs = groupby(
+        enumerate(circuit.gates),
+        key=lambda pg: (pg[1].qubit, pg[1].layer, pg[1].angles) if pg[1].kind == ROT else pg[0],
+    )
+    for _, run in runs:
+        (_, g), *rest = run
+        angles = g.angles
+        if rest:
+            mat = prod = rot_matrix(*angles)
+            for _ in rest:
+                prod = mat @ prod
+            angles = zyz_angles(prod)
+        merged.append(Gate(len(merged), g.kind, g.layer, g.slot, g.qubit, angles, g.control, g.target))
+    return Circuit(circuit.n_qubits, circuit.depth, tuple(merged)), len(circuit.gates) - len(merged)
 
 
 def _checked_observable(observable, dim: int) -> np.ndarray:

@@ -4,8 +4,10 @@ Classification margins are <Z> on qubit 0; a sample is predicted +1 when the
 margin is >= 0. Training optimizes the per-block center angles of the ansatz
 (all five block members share the center during training, i.e. sigma = 0)
 with plain gradient descent; gradients come from one adjoint sweep over one
-product matrix per block (a forward pass, then a reverse pass that un-applies
-each block and CNOT), about 6 kernel calls per block and 3 per CNOT.
+product matrix per block (the forward pass is `circuit.block_walk`, then a
+reverse pass un-applies each block and CNOT), about 6 kernel calls per block
+and 3 per CNOT. Output-only passes (`margins`, `vqe_energy`, the VQE line
+search) walk the same `circuit.block_products`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .circuit import (
     CNOT_MATRIX,
     Circuit,
     block_centers,
+    block_products,
+    block_walk,
     build_ansatz,
     cnot_ring,
     rot_derivatives,
@@ -219,20 +223,6 @@ def dataset_to_json(data: EncodedDataset) -> str:
     )
 
 
-def dataset_from_json(text: str) -> EncodedDataset:
-    doc = json.loads(text)
-    states = np.array([s["amplitudes"] for s in doc["samples"]], dtype=complex)
-    labels = np.array([s["label"] for s in doc["samples"]])
-    return EncodedDataset(
-        name=doc["name"],
-        n_qubits=doc["n_qubits"],
-        states=states,
-        labels=labels,
-        train_idx=np.array(doc["split"]["train"]),
-        val_idx=np.array(doc["split"]["validation"]),
-    )
-
-
 def z0_diagonal(n_qubits: int) -> np.ndarray:
     """Diagonal of Z on qubit 0 (the most-significant bit)."""
     dim = 1 << n_qubits
@@ -283,29 +273,6 @@ def _shared_members(centers: np.ndarray) -> np.ndarray:
     return np.broadcast_to(centers[:, :, None, :], centers.shape[:2] + (BLOCK_SIZE, 3))
 
 
-def _block_products(members: np.ndarray) -> np.ndarray:
-    """Each block's product R_4 ... R_0 of its member rotations, (n_qubits, depth, 2, 2),
-    from member angles in `build_ansatz`'s layout (n_qubits, depth, BLOCK_SIZE, 3)."""
-    mats = rot_matrix(*np.moveaxis(members, -1, 0))
-    prod = mats[:, :, 0]
-    for s in range(1, BLOCK_SIZE):
-        prod = mats[:, :, s] @ prod
-    return prod
-
-
-def _block_walk(blocks: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Apply per-block matrices (n_qubits, depth, 2, 2) in `build_ansatz`'s gate
-    order: per layer, each qubit's block, then the layer's CNOT ring."""
-    n, depth = blocks.shape[:2]
-    ring = cnot_ring(n)
-    for layer in range(depth):
-        for q in range(n):
-            states = apply_matrix(states, blocks[q, layer], [q], n)
-        for wires in ring:
-            states = apply_matrix(states, CNOT_MATRIX, wires, n)
-    return states
-
-
 def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observe):
     """Per-sample expectations <O> and their gradients with respect to the block centers.
 
@@ -330,7 +297,7 @@ def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observe):
     for s in range(1, BLOCK_SIZE):
         dprod = mats[:, :, s] @ dprod + derivs[:, :, :, s] @ prod
         prod = mats[:, :, s] @ prod
-    final = _block_walk(prod, states)
+    final = block_walk(prod, states)
     lam = observe(final)
     values = np.real(np.sum(np.conj(final) * lam, axis=-1))
     grads = np.zeros((n, depth, 3) + states.shape[:-1])
@@ -453,7 +420,8 @@ def run_vqe(
     state0 = zero_state(n)
 
     def output_at(c: np.ndarray) -> np.ndarray:
-        return _block_walk(_block_products(_shared_members(c)), state0)
+        mats = rot_matrix(*np.moveaxis(_shared_members(c), -1, 0))
+        return block_walk(block_products(mats), state0)
 
     def energy_of(out: np.ndarray) -> float:
         return float(np.real(np.vdot(out, ham @ out)))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from qiprune.circuit import (
     Circuit,
     Gate,
     block_centers,
+    block_members,
     build_ansatz,
     compile_gate,
-    fuse_blocks,
     rot_derivatives,
     rot_matrix,
     run,
@@ -22,6 +23,9 @@ from qiprune.circuit import (
     zyz_angles,
 )
 from qiprune.linalg import random_state, unitarity_deviation
+from qiprune.pruner import certify, merge_adjacent_duplicates, partition, prune
+from qiprune.qmetric import build_geometry, calibrate_epsilon
+from qiprune.tasks import z0_observable
 
 
 def basis(n, i):
@@ -195,57 +199,124 @@ def _block_circuit(n_qubits, blocks):
     return Circuit(n_qubits, len(blocks), tuple(gates))
 
 
+def _oracle_outputs(circ, states):
+    """Each state through the circuit's full unitary (oracles.circuit_unitary)."""
+    return states @ circuit_unitary(circ, compile_gate).T
+
+
+def _with_gates(circ, gates):
+    """`circ` with another gate sequence, ids renumbered to positions."""
+    return Circuit(circ.n_qubits, circ.depth, tuple(dc_replace(g, id=i) for i, g in enumerate(gates)))
+
+
+def _cnot_inside_block():
+    circ = build_ansatz(2, 1, sigma=0.1, seed=3)
+    cnot = circ.gates[-1]
+    return _with_gates(circ, circ.gates[:2] + (cnot,) + circ.gates[2:-1])
+
+
+def _missing_ring():
+    circ = build_ansatz(2, 2, sigma=0.1, seed=3)
+    return _with_gates(circ, circ.gates[:10] + circ.gates[12:])
+
+
+OUTSIDE_LAYOUT = {
+    "cnot_inside_block": _cnot_inside_block,
+    "missing_ring": _missing_ring,
+    "empty": lambda: Circuit(1, 1, ()),
+}
+
+
+class TestBlockMembers:
+    def test_reads_member_angles_by_qubit_layer_and_slot(self):
+        circ = build_ansatz(3, 2, sigma=0.2, seed=12)
+        members = block_members(circ)
+        assert members.shape == (3, 2, 5, 3)
+        for g in circ.gates:
+            if g.kind == ROT:
+                assert tuple(members[g.qubit, g.layer, g.slot]) == g.angles
+
+    @pytest.mark.parametrize("name", sorted(OUTSIDE_LAYOUT))
+    def test_error_names_the_first_offending_gate(self, name):
+        message = {
+            "cnot_inside_block": r"gate 2 is cnot \(layer 0, slot 1, wires 1->0\), not rot \(layer 0, slot 2, qubit 0\)",
+            "missing_ring": r"gate 10 is rot \(layer 1, slot 0, qubit 0\), not cnot \(layer 0, slot 0, wires 0->1\)",
+            "empty": r"gate 0 is absent, not rot \(layer 0, slot 0, qubit 0\)",
+        }[name]
+        with pytest.raises(ValueError, match=message):
+            block_members(OUTSIDE_LAYOUT[name]())
+
+    def test_gate_past_the_last_layer_rejected(self):
+        circ = build_ansatz(1, 1, sigma=0.1, seed=0)
+        extra = Gate(5, ROT, 1, 0, qubit=0, angles=(0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match=r"gate 5 is rot \(layer 1, slot 0, qubit 0\), not absent"):
+            block_members(Circuit(1, 1, circ.gates + (extra,)))
+
+
+def _block_circuit(n_qubits, blocks):
+    """Rot blocks (per layer, per qubit a list of angle triples), each layer closed by a CNOT ring."""
+    gates = []
+    for layer, per_qubit in enumerate(blocks):
+        for qubit, members in enumerate(per_qubit):
+            for slot, angles in enumerate(members):
+                gates.append(Gate(len(gates), ROT, layer, slot, qubit=qubit, angles=tuple(angles)))
+        for i in range(n_qubits):
+            gates.append(Gate(len(gates), CNOT, layer, i, control=i, target=(i + 1) % n_qubits))
+    return Circuit(n_qubits, len(blocks), tuple(gates))
+
+
 class TestFuseBlocks:
+    """Block fusion: `run_fused` applies each block as one product matrix, and
+    `merge_adjacent_duplicates` joins runs of identical adjacent gates."""
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_unitary_oracle_on_random_depth2(self, n, seed):
         circ = build_ansatz(n, 2, sigma=0.4, seed=seed)
-        fused = fuse_blocks(circ)
-        assert fused.n_rot == 2 * n
-        assert len(fused.gates) == len(circ.gates) - 4 * 2 * n
-        assert [g.id for g in fused.gates] == list(range(len(fused.gates)))
+        basis_states = np.eye(1 << n, dtype=complex)
         np.testing.assert_allclose(
-            circuit_unitary(fused, compile_gate), circuit_unitary(circ, compile_gate), rtol=0, atol=1e-12
+            run_fused(circ, basis_states), _oracle_outputs(circ, basis_states), rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("beta", [0.0, math.pi])
     def test_diagonal_and_antidiagonal_products(self, beta):
         # qubit 0's block product has beta = 0 (diagonal) or beta = pi
-        # (anti-diagonal), the two special branches of zyz_angles
+        # (anti-diagonal)
         rng = np.random.default_rng(6)
         special = [(a, 0.0, c) for a, c in rng.uniform(-math.pi, math.pi, size=(4, 2))]
         special.insert(2, (0.4, beta, -1.1))
         generic = rng.uniform(-math.pi, math.pi, size=(5, 3))
         circ = _block_circuit(2, [[special, generic], [generic, special]])
-        fused = fuse_blocks(circ)
-        assert fused.n_rot == 4
-        assert abs(fused.gates[0].angles[1] - beta) < 1e-12
-        np.testing.assert_allclose(
-            circuit_unitary(fused, compile_gate), circuit_unitary(circ, compile_gate), rtol=0, atol=1e-12
-        )
+        product = rot_matrix(*np.array(special[::-1]).T)
+        product = product[0] @ product[1] @ product[2] @ product[3] @ product[4]
+        assert abs(product[1, 0] if beta == 0.0 else product[0, 0]) < 1e-12
+        states = np.array([random_state(2, np.random.default_rng(k)) for k in range(4)])
+        got = run_fused(circ, states)
+        np.testing.assert_allclose(got, run(circ, states), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _oracle_outputs(circ, states), rtol=0, atol=1e-12)
 
     def test_run_broken_by_another_wire_is_not_joined(self):
-        rng = np.random.default_rng(7)
-        a, b, c = (tuple(x) for x in rng.uniform(-math.pi, math.pi, size=(3, 3)))
+        a = tuple(np.random.default_rng(7).uniform(-math.pi, math.pi, size=3))
         gates = (
             Gate(0, ROT, 0, 0, qubit=0, angles=a),
-            Gate(1, ROT, 0, 1, qubit=0, angles=b),
+            Gate(1, ROT, 0, 1, qubit=0, angles=a),
             Gate(2, CNOT, 0, 0, control=1, target=0),
-            Gate(3, ROT, 0, 2, qubit=0, angles=c),
+            Gate(3, ROT, 0, 2, qubit=0, angles=a),
         )
         circ = Circuit(2, 1, gates)
-        fused = fuse_blocks(circ)
-        assert [g.kind for g in fused.gates] == [ROT, CNOT, ROT]
-        assert fused.gates[2].angles == c
+        merged, removed = merge_adjacent_duplicates(circ)
+        assert removed == 1
+        assert [g.kind for g in merged.gates] == [ROT, CNOT, ROT]
+        assert merged.gates[2].angles == a
         np.testing.assert_allclose(
-            circuit_unitary(fused, compile_gate), circuit_unitary(circ, compile_gate), rtol=0, atol=1e-12
+            circuit_unitary(merged, compile_gate), circuit_unitary(circ, compile_gate), rtol=0, atol=1e-12
         )
 
     def test_circuit_without_rot_gates_is_unchanged(self):
         gates = tuple(Gate(i, CNOT, 0, i, control=i, target=(i + 1) % 3) for i in range(3))
         circ = Circuit(3, 1, gates)
-        assert fuse_blocks(circ) == circ
-        assert fuse_blocks(Circuit(2, 1, ())) == Circuit(2, 1, ())
+        assert merge_adjacent_duplicates(circ) == (circ, 0)
+        assert merge_adjacent_duplicates(Circuit(2, 1, ())) == (Circuit(2, 1, ()), 0)
 
 
 class TestRunFused:
@@ -257,16 +328,17 @@ class TestRunFused:
         states = np.array([random_state(n, rng) for _ in range(4)])
         got = run_fused(circ, states)
         np.testing.assert_allclose(got, run(circ, states), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got, run(fuse_blocks(circ), states), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _oracle_outputs(circ, states), rtol=0, atol=1e-12)
 
     def test_cnot_only_and_empty_circuits(self):
+        # outside the ansatz layout: run_fused refuses them, run executes them
         rng = np.random.default_rng(16)
         states = np.array([random_state(3, rng) for _ in range(3)])
         gates = tuple(Gate(i, CNOT, 0, i, control=i, target=(i + 1) % 3) for i in range(3))
         for circ in (Circuit(3, 1, gates), Circuit(3, 1, ())):
-            got = run_fused(circ, states)
-            np.testing.assert_allclose(got, run(circ, states), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got, run(fuse_blocks(circ), states), rtol=0, atol=1e-12)
+            with pytest.raises(ValueError, match="not a 3-qubit depth-1 ansatz"):
+                run_fused(circ, states)
+            np.testing.assert_allclose(run(circ, states), _oracle_outputs(circ, states), rtol=0, atol=1e-12)
 
     def test_single_state_and_dimension_check(self):
         circ = build_ansatz(2, 1, sigma=0.1, seed=4)
@@ -278,19 +350,47 @@ class TestRunFused:
             run_fused(circ, basis(3, 0))
 
 
+def _certify_alone(circ):
+    """certify with `circ` as both the original and the pruned circuit."""
+    n = circ.n_qubits
+    geo = build_geometry(n, 1.0)
+    ens = np.array([random_state(n, np.random.default_rng(18))])
+    _, report = prune(build_ansatz(n, circ.depth), ens, geo, calibrate_epsilon(0.01, geo))
+    return certify(report, circ, circ, ens, z0_observable(n))
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_LAYOUT))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda c: run_fused(c, np.eye(c.dim, dtype=complex)),
+        partition,
+        _certify_alone,
+        block_centers,
+    ],
+    ids=["run_fused", "partition", "certify", "block_centers"],
+)
+def test_layout_users_reject_circuits_outside_the_layout(entry, name):
+    circ = OUTSIDE_LAYOUT[name]()
+    with pytest.raises(ValueError, match="ansatz"):
+        entry(circ)
+    run(circ, np.eye(circ.dim, dtype=complex))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"task": "tfim", "n_qubits": 3, "vqe_iters": 1}, {"task": "bas", "train_epochs": 0}],
 )
 def test_grid_point_builds_no_euler_angles_or_rot_matrices_one_by_one(monkeypatch, overrides):
-    # every output pass applies joined_runs' products: no Rot gate goes through
+    # every output pass applies block_walk's products: no gate goes through
     # compile_gate and no product goes back to ZYZ angles
     import qiprune.circuit
+    import qiprune.pruner
     from qiprune import cli
 
     ctx = cli.prepare_task(cli.RunConfig(depth=1, M=4, seed=0, **overrides))
     compiled, angles = [], []
-    compile_original, zyz_original = qiprune.circuit.compile_gate, qiprune.circuit.zyz_angles
+    compile_original, zyz_original = qiprune.circuit.compile_gate, qiprune.pruner.zyz_angles
 
     def counted_compile(g):
         compiled.append(g.kind)
@@ -301,11 +401,11 @@ def test_grid_point_builds_no_euler_angles_or_rot_matrices_one_by_one(monkeypatc
         return zyz_original(mat)
 
     monkeypatch.setattr(qiprune.circuit, "compile_gate", counted_compile)
-    monkeypatch.setattr(qiprune.circuit, "zyz_angles", counted_zyz)
+    # merge_adjacent_duplicates is zyz_angles' only caller
+    monkeypatch.setattr(qiprune.pruner, "zyz_angles", counted_zyz)
     result = cli.run_grid_point(ctx, 0.02, 0.003)
     assert result["report"].L > 0
-    assert angles == [] and ROT not in compiled
-    assert CNOT in compiled
+    assert angles == [] and compiled == []
 
 
 class TestZyzAngles:

@@ -407,3 +407,15 @@ def test_env_var_data_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QIPRUNE_DATA_DIR", str(tmp_path))
     assert main(["dataset", "inspect", "--task", "fashion_sb"]) == 0
     assert "40 samples" in capsys.readouterr().out
+
+
+def test_task_context_and_grid_point_report_are_frozen():
+    from dataclasses import FrozenInstanceError
+
+    ctx = cli.prepare_task(RunConfig(task="bas", depth=1, M=4, train_epochs=0))
+    with pytest.raises(FrozenInstanceError):
+        ctx.metric_name = "other"
+    report = cli.run_grid_point(ctx, 0.02, 0.003)["report"]
+    assert report.metric_name == "accuracy_pct" and report.seed == 0
+    with pytest.raises(FrozenInstanceError):
+        report.seed = 1

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import circuit_unitary, per_member_dq_values
 
-from qiprune.circuit import CNOT, ROT, Circuit, Gate, build_ansatz, compile_gate, fuse_blocks, run
+from qiprune.circuit import CNOT, ROT, Circuit, Gate, build_ansatz, compile_gate, run
 from qiprune.linalg import pure_trace_distance, random_state
 from qiprune.pruner import (
     MODES,
@@ -50,7 +50,7 @@ class TestPartition:
 
     def test_no_rot_gates_rejected(self):
         circ = Circuit(2, 1, (Gate(id=0, kind=CNOT, layer=0, slot=0, control=0, target=1),))
-        with pytest.raises(ValueError, match="no rotation gates"):
+        with pytest.raises(ValueError, match="not a 2-qubit depth-1 ansatz: gate 0 is cnot"):
             partition(circ)
 
     def test_non_positional_ids_rejected(self):
@@ -390,7 +390,7 @@ class TestCertify:
 
     def test_fused_run_describes_the_circuits_as_given(self):
         # certify runs both circuits block-fused; its per-state trace distances
-        # are those of the circuits run gate by gate, fused input or not
+        # are those of the circuits run gate by gate
         n = 3
         circ = build_ansatz(n, 2, sigma=0.02, seed=25)
         geo = build_geometry(n, 1.0)
@@ -399,9 +399,8 @@ class TestCertify:
         assert 0 < report.L < circ.n_rot
         expected = [pure_trace_distance(run(circ, psi), run(pruned, psi)) for psi in ens]
         assert min(expected) > 0.0
-        for a, b in ((circ, pruned), (fuse_blocks(circ), fuse_blocks(pruned))):
-            cert = certify(report, a, b, ens, z0_observable(n))
-            np.testing.assert_allclose(cert.trace_distances, expected, rtol=0, atol=1e-12)
+        cert = certify(report, circ, pruned, ens, z0_observable(n))
+        np.testing.assert_allclose(cert.trace_distances, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "observable, message",
@@ -434,9 +433,9 @@ class TestCertify:
 @pytest.mark.parametrize("n,depth,limit", [(8, 1, 80), (4, 6, 240)])
 def test_kernel_calls_per_grid_point(monkeypatch, n, depth, limit):
     # prune's walk, two margins and certify's two runs: five passes at one
-    # kernel call per block and per CNOT; one call per gate made 240 and 720
+    # kernel call per block and per CNOT; one call per gate made 240 and 720.
+    # All five walk in circuit.block_walk; tasks binds the kernel too.
     import qiprune.circuit
-    import qiprune.pruner
     import qiprune.tasks
 
     calls = []
@@ -446,7 +445,7 @@ def test_kernel_calls_per_grid_point(monkeypatch, n, depth, limit):
         calls.append(1)
         return kernel(*args)
 
-    for module in (qiprune.circuit, qiprune.pruner, qiprune.tasks):
+    for module in (qiprune.circuit, qiprune.tasks):
         monkeypatch.setattr(module, "apply_matrix", counted)
     circ = build_ansatz(n, depth, sigma=0.01, seed=0)
     ens = ensemble(n, 50, 0)
@@ -469,6 +468,16 @@ def test_report_json_dict_round_trips_through_json():
     assert doc["L"] == report.L
     assert doc["replace_pct"] == report.replace_pct
     assert set(doc) >= {"metric_base", "metric_pruned", "metric_drop", "replace_pct", "rhs_raw", "rhs_clip", "dq_max_repl"}
+
+
+def test_report_is_frozen():
+    from dataclasses import FrozenInstanceError
+
+    circ = build_ansatz(2, 1, sigma=0.01, seed=21)
+    geo = build_geometry(2, 1.0)
+    _, report = prune(circ, ensemble(2, 4, 21), geo, calibrate_epsilon(0.01, geo))
+    with pytest.raises(FrozenInstanceError):
+        report.metric_base = 1.0
 
 
 REPORT_KEYS = {

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import struct
 
@@ -12,7 +13,6 @@ from qiprune.tasks import (
     _expectations_and_grads,
     build_ensemble,
     build_tfim,
-    dataset_from_json,
     dataset_to_json,
     downsample_28_to_16,
     encode_amplitude,
@@ -193,12 +193,16 @@ class TestLoadIdx:
 
 def test_dataset_json_round_trip():
     data = generate_bas(4)
-    doc = dataset_to_json(data)
-    back = dataset_from_json(doc)
-    assert back.name == data.name and back.n_qubits == data.n_qubits
-    np.testing.assert_array_equal(back.states, data.states)
-    np.testing.assert_array_equal(back.labels, data.labels)
-    np.testing.assert_array_equal(back.val_idx, data.val_idx)
+    doc = json.loads(dataset_to_json(data))
+    assert doc["name"] == data.name and doc["n_qubits"] == data.n_qubits
+    np.testing.assert_array_equal([x["amplitudes"] for x in doc["samples"]], data.states.real)
+    np.testing.assert_array_equal([x["label"] for x in doc["samples"]], data.labels)
+    np.testing.assert_array_equal(doc["split"]["train"], data.train_idx)
+    np.testing.assert_array_equal(doc["split"]["validation"], data.val_idx)
+
+
+#: one-qubit depth-1 ansatz whose five Rot gates are all the identity
+IDENTITY = build_ansatz(1, 1, centers=np.zeros((1, 1, 3)))
 
 
 class TestClassifierEvaluation:
@@ -212,12 +216,12 @@ class TestClassifierEvaluation:
         return EncodedDataset("toy", 1, states, np.array(labels), idx, idx.copy())
 
     def test_all_correct(self):
-        # empty circuit: margins are +1 for |0> and -1 for |1>
-        circ = Circuit(1, 1, ())
+        # identity ansatz: margins are +1 for |0> and -1 for |1>
+        circ = IDENTITY
         assert evaluate_classifier(circ, self._toy([1, -1])) == 1.0
 
     def test_label_flip_symmetry(self):
-        circ = Circuit(1, 1, ())
+        circ = IDENTITY
         acc = evaluate_classifier(circ, self._toy([1, -1]))
         flipped = evaluate_classifier(circ, self._toy([-1, 1]))
         assert flipped == pytest.approx(1.0 - acc)
@@ -225,7 +229,7 @@ class TestClassifierEvaluation:
     def test_zero_margin_counts_as_plus_one(self):
         plus = np.array([[1, 1]], dtype=complex) / math.sqrt(2)
         data = EncodedDataset("t", 1, plus, np.array([1]), np.arange(1), np.arange(1))
-        assert evaluate_classifier(Circuit(1, 1, ()), data) == 1.0
+        assert evaluate_classifier(IDENTITY, data) == 1.0
 
     def test_global_phase_invariance(self):
         circ = build_ansatz(2, 1, sigma=0.1, seed=0)
@@ -238,13 +242,13 @@ class TestClassifierEvaluation:
     def test_empty_dataset(self):
         empty = EncodedDataset("e", 1, np.zeros((0, 2), complex), np.zeros(0), np.zeros(0, int), np.zeros(0, int))
         with pytest.raises(ValueError, match="empty"):
-            evaluate_classifier(Circuit(1, 1, ()), empty)
+            evaluate_classifier(IDENTITY, empty)
 
     def test_empty_validation_split(self):
         data = self._toy([1, -1])
         data.val_idx = np.zeros(0, int)
         with pytest.raises(ValueError, match="empty validation split"):
-            evaluate_classifier(Circuit(1, 1, ()), data)
+            evaluate_classifier(IDENTITY, data)
 
 
 def member_angles(circuit):
