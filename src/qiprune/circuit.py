@@ -7,14 +7,15 @@ Rz(alpha) (ZYZ, alpha applied first). Pool noise is drawn once per seed as
 unit normals and scaled by sigma, so sweeps over sigma with a fixed seed
 share the same perturbation directions.
 
-That gate order is the one block layout the package computes on.
-`block_members` reads and checks a circuit's member angles as an
-(n_qubits, depth, BLOCK_SIZE, 3) array, `block_products` multiplies each
-block's member matrices into one 2x2 product, and `block_walk` applies the
-products and the CNOT rings in execution order, one kernel call each.
-`run_fused` is that walk; training, VQE and `pruner.prune` use the same
-three. `run` applies one kernel call per gate and executes any gate
-sequence.
+That gate order is the one block layout the package computes on. A
+`Circuit` is its (n_qubits, depth, BLOCK_SIZE, 3) member-angle array, so a
+circuit outside the layout cannot be built; `Circuit.gates` derives the
+per-gate view in execution order. `block_products` multiplies each block's
+member matrices into one 2x2 product, and `block_walk` applies the products
+and the CNOT rings in execution order, one kernel call each. `run_fused` is
+that walk; training, VQE and `pruner.prune` use the same two. `run` applies
+one kernel call per gate of `Circuit.gates`, and `apply_gate_sequence` runs
+any gate sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -59,11 +59,38 @@ class Gate:
         return [self.control, self.target]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    n_qubits: int
-    depth: int
-    gates: tuple[Gate, ...]
+    """An ansatz circuit as its member angles (n_qubits, depth, BLOCK_SIZE, 3):
+    members[q, layer, slot] are the Rot angles of qubit q's block in `layer`.
+
+    Stores a read-only float copy; raises ValueError for any other shape or
+    for n_qubits or depth < 1. Equality compares the member values.
+    """
+
+    members: np.ndarray
+
+    def __post_init__(self):
+        members = np.array(self.members, dtype=float)
+        if members.ndim != 4 or members.shape[2:] != (BLOCK_SIZE, 3) or min(members.shape[:2]) < 1:
+            raise ValueError(
+                f"members must have shape (n_qubits >= 1, depth >= 1, {BLOCK_SIZE}, 3), got {members.shape}"
+            )
+        members.flags.writeable = False
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return np.array_equal(self.members, other.members)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.members.shape[0]
+
+    @property
+    def depth(self) -> int:
+        return self.members.shape[1]
 
     @property
     def dim(self) -> int:
@@ -71,7 +98,16 @@ class Circuit:
 
     @property
     def n_rot(self) -> int:
-        return sum(1 for g in self.gates if g.kind == ROT)
+        return self.n_qubits * self.depth * BLOCK_SIZE
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates in execution order (`_layout`); ids are positions."""
+        rows = iter(self.members.swapaxes(0, 1).reshape(-1, 3).tolist())
+        return tuple(
+            Gate(gid, kind, layer, slot, qubit, tuple(next(rows)) if kind == ROT else None, control, target)
+            for gid, (kind, layer, slot, qubit, control, target) in enumerate(_layout(self.n_qubits, self.depth))
+        )
 
 
 def rot_matrix(alpha, beta, gamma) -> np.ndarray:
@@ -157,15 +193,7 @@ def build_ansatz(
             )
     noise_rng = np.random.default_rng([seed, 0])
     xi = noise_rng.standard_normal(size=(depth, n_qubits, BLOCK_SIZE, 3))
-
-    # (depth, n_qubits, BLOCK_SIZE, 3) member angles as Python floats in one call,
-    # in the layout's order of Rot gates
-    members = iter((np.swapaxes(centers, 0, 1)[:, :, None, :] + sigma * xi).reshape(-1, 3).tolist())
-    gates = tuple(
-        Gate(gid, kind, layer, slot, qubit, tuple(next(members)) if kind == ROT else None, control, target)
-        for gid, (kind, layer, slot, qubit, control, target) in enumerate(_layout(n_qubits, depth))
-    )
-    return Circuit(n_qubits=n_qubits, depth=depth, gates=gates)
+    return Circuit(centers[:, :, None] + sigma * np.swapaxes(xi, 0, 1))
 
 
 def cnot_ring(n_qubits: int) -> list[list[int]]:
@@ -188,43 +216,10 @@ def _layout(n_qubits: int, depth: int) -> tuple[tuple, ...]:
     return tuple(entries)
 
 
-def _describe(entries: tuple, pos: int) -> str:
-    if pos >= len(entries):
-        return "absent"
-    kind, layer, slot, qubit, control, target = entries[pos]
-    wires = f"qubit {qubit}" if kind == ROT else f"wires {control}->{target}"
-    return f"{kind} (layer {layer}, slot {slot}, {wires})"
-
-
-def block_members(circuit: Circuit) -> np.ndarray:
-    """Member angles (n_qubits, depth, BLOCK_SIZE, 3) of a circuit in the ansatz
-    layout `build_ansatz` builds: per layer, each qubit's BLOCK_SIZE Rot gates
-    in slot order, then the layer's `cnot_ring`.
-
-    Raises ValueError naming the first gate that departs from that layout
-    (gate ids are not checked). `run` executes any gate sequence.
-    """
-    n, depth = circuit.n_qubits, circuit.depth
-    if n < 1 or depth < 1:
-        raise ValueError(f"the ansatz layout needs n_qubits >= 1 and depth >= 1, got {n}, {depth}")
-    layout = _layout(n, depth)
-    found = tuple((g.kind, g.layer, g.slot, g.qubit, g.control, g.target) for g in circuit.gates)
-    if found != layout:
-        pos = next(p for p, (a, b) in enumerate(zip_longest(found, layout)) if a != b)
-        raise ValueError(
-            f"not a {n}-qubit depth-{depth} ansatz: gate {pos} is {_describe(found, pos)}, "
-            f"not {_describe(layout, pos)}"
-        )
-    angles = np.fromiter(
-        chain.from_iterable(g.angles for g in circuit.gates if g.kind == ROT), float, n * depth * BLOCK_SIZE * 3
-    )
-    return angles.reshape(depth, n, BLOCK_SIZE, 3).swapaxes(0, 1)
-
-
 def block_centers(circuit: Circuit) -> np.ndarray:
     """Per-block center angles (n_qubits, depth, 3), the slot-0 members; exact for
-    sigma = 0 circuits. Raises ValueError outside the ansatz layout."""
-    return block_members(circuit)[:, :, 0]
+    sigma = 0 circuits."""
+    return circuit.members[:, :, 0]
 
 
 def block_products(mats: np.ndarray) -> np.ndarray:
@@ -277,9 +272,9 @@ def run(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
 def run_fused(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     """Forward pass with each block applied as one product matrix: `block_walk`
-    over the `block_products` of `block_members`. Equal to `run` up to
+    over the `block_products` of the circuit's members. Equal to `run` up to
     rounding, without building Gates or Euler angles. Accepts a single state
-    or a batch; raises ValueError outside the ansatz layout."""
+    or a batch."""
     states = _checked_states(circuit, states)
-    mats = rot_matrix(*np.moveaxis(block_members(circuit), -1, 0))
+    mats = rot_matrix(*np.moveaxis(circuit.members, -1, 0))
     return block_walk(block_products(mats), states)

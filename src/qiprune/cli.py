@@ -426,7 +426,13 @@ FIELD_CHOICES = {"task": sorted(TASK_INFO), "epsilon_rule": EPSILON_RULES, "mode
 def _load_config(args) -> RunConfig:
     doc: dict = {}
     if getattr(args, "config", None):
-        doc.update(json.loads(Path(args.config).read_text()))
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object, got {type(loaded).__name__}")
+        doc.update(loaded)
     for name in FIELD_KINDS:
         val = getattr(args, name, None)
         if val is not None:

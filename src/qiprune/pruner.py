@@ -1,19 +1,20 @@
 """One-shot structured pruning: block partition, reference choice, replacement.
 
-Blocks are those of the ansatz layout in `circuit`: `partition` checks it and
-names each block's gate ids. Decisions use the ensemble-average distance d_q
-computed on each block's prefix ensemble (states propagated through the
-original circuit to the block's first gate); the report additionally
-records the per-state maximum so the state-wise bound can be certified.
-`prune` compiles the `circuit.block_members` array in one `rot_matrix` call
-and uses it for the comparisons, one batched `block_comparator` call per
-block, for the medoid, and for the prefix walk, `circuit.block_walk` over
-the `block_products`. Replacement is structural: a pruned gate keeps its
-circuit location but carries the reference's unitary. `certify` runs both
-circuits with `circuit.run_fused` (one product per block, exact). The
-reported merged gate count joins only runs of identical adjacent members
-(the count that `merge_adjacent_duplicates` gives), so it never drops below
-the one Rot per block that lossless fusion leaves without pruning anything.
+Blocks are those of the ansatz layout in `circuit`, and a `Circuit` is its
+member-angle array, so `partition` only names each block's gate ids.
+Decisions use the ensemble-average distance d_q computed on each block's
+prefix ensemble (states propagated through the original circuit to the
+block's first gate); the report additionally records the per-state maximum
+so the state-wise bound can be certified. `prune` compiles the members in
+one `rot_matrix` call and uses them for the comparisons, one batched
+`block_comparator` call per block, for the medoid, and for the prefix walk,
+`circuit.block_walk` over the `block_products`. Replacement is structural: a
+pruned member keeps its place but takes the reference's angles. `certify`
+runs both circuits with `circuit.run_fused` (one product per block, exact).
+The reported merged gate count joins only runs of identical adjacent members
+(the count that `merge_adjacent_duplicates` gives on `Circuit.gates`), so it
+never drops below the one Rot per block that lossless fusion leaves without
+pruning anything.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .circuit import (
     ROT,
     Circuit,
     Gate,
-    block_members,
+    _layout,
     block_products,
     block_walk,
     cnot_ring,
@@ -112,17 +113,8 @@ def partition(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
 
     A group's first id is its default reference. Single-qubit rotation
     blocks are closed under composition and inversion by construction. CNOT
-    gates are never pruning candidates. Raises ValueError unless gate ids
-    equal execution positions and the circuit has the ansatz layout
-    (`circuit.block_members`).
+    gates are never pruning candidates. Ids are positions in `Circuit.gates`.
     """
-    # reports name gates by id, and the group ids below are execution positions
-    for pos, g in enumerate(circuit.gates):
-        if g.id != pos:
-            raise ValueError(
-                f"gate ids must equal execution positions (gate {g.id} at position {pos})"
-            )
-    block_members(circuit)
     n = circuit.n_qubits
     layer_len = n * BLOCK_SIZE + len(cnot_ring(n))
     starts = (layer * layer_len + q * BLOCK_SIZE for layer in range(circuit.depth) for q in range(n))
@@ -158,14 +150,13 @@ def prune(
 ) -> tuple[Circuit, PruneReport]:
     """One-shot redundancy pruning with structured replacement.
 
-    Checks the block layout (`partition`), then walks the original
-    circuit once with `circuit.block_walk`, propagating the ensemble through
-    each block's product; at each block it compares every non-reference
-    member against the reference (the block's first member, or its medoid in
-    "pairwise_medoid" mode) on the block-prefix ensemble and replaces it when
-    the mean distance is within epsilon_q. `max_replace_per_group`
-    optionally caps replacements per block (smallest distances first); the
-    default replaces every qualifying gate.
+    Walks the original circuit once with `circuit.block_walk`, propagating
+    the ensemble through each block's product; at each block it compares
+    every non-reference member against the reference (the block's first
+    member, or its medoid in "pairwise_medoid" mode) on the block-prefix
+    ensemble and replaces it when the mean distance is within epsilon_q.
+    `max_replace_per_group` optionally caps replacements per block
+    (smallest distances first); the default replaces every qualifying gate.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (expected one of {MODES})")
@@ -174,7 +165,7 @@ def prune(
             f"max_replace_per_group must be >= 1 when set, got {max_replace_per_group}"
         )
     groups = partition(circuit)
-    members = block_members(circuit)
+    members = circuit.members
     states = as_ensemble(ensemble, circuit.dim)
     if geo.dim != circuit.dim:
         raise ValueError(f"geometry dim {geo.dim} does not match circuit dim {circuit.dim}")
@@ -220,19 +211,11 @@ def prune(
     # prefixes for later blocks always come from the original circuit
     block_walk(block_products(mats), states, decide)
 
-    # a replaced gate keeps its location and takes the reference's angles
-    rows = iter(pruned_members.swapaxes(0, 1).reshape(-1, 3).tolist())
-    pruned_gates = tuple(
-        Gate(g.id, ROT, g.layer, g.slot, g.qubit, tuple(next(rows))) if g.kind == ROT else g
-        for g in circuit.gates
-    )
-    pruned = Circuit(n_qubits=circuit.n_qubits, depth=circuit.depth, gates=pruned_gates)
-
     L = len(replaced)
     n_rot = circuit.n_rot
     rhs_raw, rhs_clip = drift_rhs(L, eps, geo.M_q)
     violations = sum(1 for gid in replaced if dq_values[gid] > eps)
-    # merge_adjacent_duplicates(pruned)[1]: equal adjacent members of a block
+    # merge_adjacent_duplicates(pruned.gates)[1]: equal adjacent members of a block
     removed = int(np.all(pruned_members[:, :, 1:] == pruned_members[:, :, :-1], axis=-1).sum())
 
     report = PruneReport(
@@ -253,20 +236,21 @@ def prune(
         violations=violations,
         n_rot=n_rot,
         mode=mode,
-        merged_gate_count=len(pruned_gates) - removed,
+        merged_gate_count=len(_layout(circuit.n_qubits, circuit.depth)) - removed,
         merged_removed=removed,
     )
-    return pruned, report
+    return Circuit(pruned_members), report
 
 
-def merge_adjacent_duplicates(circuit: Circuit) -> tuple[Circuit, int]:
-    """The circuit with each run of identical adjacent Rot gates on one wire
-    and layer joined into one Rot carrying the `zyz_angles` of the run's
+def merge_adjacent_duplicates(gates) -> tuple[tuple[Gate, ...], int]:
+    """The gate sequence with each run of identical adjacent Rot gates on one
+    wire and layer joined into one Rot carrying the `zyz_angles` of the run's
     product (lossless), and the number of gates removed. Other gates are
-    kept; ids are renumbered. Takes any gate sequence."""
+    kept; ids are renumbered. Takes any gate sequence, such as
+    `Circuit.gates`; run the result with `circuit.apply_gate_sequence`."""
     merged: list[Gate] = []
     runs = groupby(
-        enumerate(circuit.gates),
+        enumerate(gates),
         key=lambda pg: (pg[1].qubit, pg[1].layer, pg[1].angles) if pg[1].kind == ROT else pg[0],
     )
     for _, run in runs:
@@ -278,7 +262,7 @@ def merge_adjacent_duplicates(circuit: Circuit) -> tuple[Circuit, int]:
                 prod = mat @ prod
             angles = zyz_angles(prod)
         merged.append(Gate(len(merged), g.kind, g.layer, g.slot, g.qubit, angles, g.control, g.target))
-    return Circuit(circuit.n_qubits, circuit.depth, tuple(merged)), len(circuit.gates) - len(merged)
+    return tuple(merged), len(gates) - len(merged)
 
 
 def _checked_observable(observable, dim: int) -> np.ndarray:
@@ -315,7 +299,7 @@ def certify(
     `observable` is a finite Hermitian (within ATOL) matrix of the
     circuit's dimension.
     """
-    if circuit.n_qubits != pruned.n_qubits or len(circuit.gates) != len(pruned.gates):
+    if circuit.members.shape != pruned.members.shape:
         raise ValueError("original and pruned circuits do not match the report")
     states = as_ensemble(ensemble, circuit.dim)
     observable = _checked_observable(observable, circuit.dim)

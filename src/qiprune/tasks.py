@@ -26,7 +26,6 @@ from .circuit import (
     block_centers,
     block_products,
     block_walk,
-    build_ansatz,
     cnot_ring,
     rot_derivatives,
     rot_matrix,
@@ -329,7 +328,7 @@ def train_classifier(
 ) -> Circuit:
     """Hinge training of block centers on the margin y * <Z0>.
 
-    Expects a sigma = 0 circuit (block centers read from slot-0 gates).
+    Expects a sigma = 0 circuit (block centers read from the slot-0 members).
     Returns a fresh sigma = 0 circuit with the trained centers; resample the
     candidate pools around it afterwards. Deterministic given seed. Raises
     ValueError for epochs < 0, batch_size or max_train_samples < 1, and an
@@ -340,7 +339,7 @@ def train_classifier(
     _check_at_least("epochs", epochs, 0)
     _check_at_least("batch_size", batch_size, 1)
     _check_at_least("max_train_samples", max_train_samples, 1)
-    n, depth = circuit.n_qubits, circuit.depth
+    n = circuit.n_qubits
     centers = block_centers(circuit).copy()
     rng = np.random.default_rng(seed)
 
@@ -365,7 +364,7 @@ def train_classifier(
             y = labels[sel]
             coeff = np.where(1.0 - y * m > 0.0, -y, 0.0)
             centers -= lr * (grads @ coeff) / len(sel)
-    return build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
+    return Circuit(_shared_members(centers))
 
 
 def _pauli_chain(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
@@ -403,18 +402,18 @@ def run_vqe(
     """Gradient descent on <H> from |0...0>, recording the optimization trajectory.
 
     Steps are accepted only if they do not raise the energy; otherwise the
-    step is halved (up to max_backtracks times), so the trace is
-    non-increasing per accepted step. The energy trace has one entry per
-    iteration plus the final energy. Output states of the evolving circuit
-    are snapshotted at evenly spaced iterations (at most `snapshots` of
-    them) for ensemble construction. Raises ValueError for iters < 0.
+    step is halved (up to max_backtracks times), and when no step passes the
+    centers stay, so the trace is non-increasing. The energy trace has one
+    entry per iteration plus the final energy. Output states of the evolving
+    circuit are snapshotted at evenly spaced iterations (at most `snapshots`
+    of them) for ensemble construction. Raises ValueError for iters < 0.
     """
     _check_at_least("iters", iters, 0)
     if spec.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"hamiltonian is on {spec.n_qubits} qubits, circuit on {circuit.n_qubits}"
         )
-    n, depth = circuit.n_qubits, circuit.depth
+    n = circuit.n_qubits
     centers = block_centers(circuit).copy()
     ham = spec.hamiltonian
     state0 = zero_state(n)
@@ -442,18 +441,17 @@ def run_vqe(
             snaps.append(final[0])
         direction = grads[..., 0]
         step = lr
-        trial = centers - step * direction
-        for _ in range(max_backtracks):
+        for _ in range(max_backtracks + 1):
+            trial = centers - step * direction
             if energy_of(output_at(trial)) <= energies[-1] + 1e-12:
+                centers = trial
                 break
             step *= 0.5
-            trial = centers - step * direction
-        centers = trial
     out = output_at(centers)
     energies.append(energy_of(out))
     if not snaps:
         snaps.append(out)
-    trained = build_ansatz(n, depth, centers=centers, sigma=0.0, seed=0)
+    trained = Circuit(_shared_members(centers))
     return VqeResult(energies=tuple(energies), snapshots=np.array(snaps), trained=trained)
 
 
@@ -471,8 +469,10 @@ def build_ensemble(source, M: int = 50, seed: int = 0) -> TaskEnsemble:
     """M task states drawn from the source; validation encodings for
     classification datasets, trajectory snapshots for VQE results.
 
-    Sources smaller than M are sampled with replacement and flagged.
+    Sources smaller than M are sampled with replacement and flagged. Raises
+    ValueError for M < 1.
     """
+    _check_at_least("M", M, 1)
     if isinstance(source, EncodedDataset):
         pool = source.states[source.val_idx]
         src = "validation_sample"

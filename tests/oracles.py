@@ -41,12 +41,11 @@ def embed_kron(mat: np.ndarray, wires: list[int], n_qubits: int) -> np.ndarray:
     return perm @ big @ perm.T
 
 
-def circuit_unitary(circuit, compile_fn) -> np.ndarray:
-    """Full unitary of a circuit by multiplying kron-embedded gate matrices."""
-    dim = 1 << circuit.n_qubits
-    total = np.eye(dim, dtype=complex)
-    for g in circuit.gates:
-        total = embed_kron(compile_fn(g), g.wires(), circuit.n_qubits) @ total
+def circuit_unitary(gates, n_qubits: int, compile_fn) -> np.ndarray:
+    """Full unitary of a gate sequence by multiplying kron-embedded gate matrices."""
+    total = np.eye(1 << n_qubits, dtype=complex)
+    for g in gates:
+        total = embed_kron(compile_fn(g), g.wires(), n_qubits) @ total
     return total
 
 

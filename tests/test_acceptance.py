@@ -212,8 +212,8 @@ def test_small_instance_oracle_equivalence():
         rng = np.random.default_rng(seed)
         ens = np.array([random_state(2, rng) for _ in range(8)])
         pruned, report = prune(circ, ens, geo, tol)
-        u_orig = circuit_unitary(circ, compile_gate)
-        u_pruned = circuit_unitary(pruned, compile_gate)
+        u_orig = circuit_unitary(circ.gates, 2, compile_gate)
+        u_pruned = circuit_unitary(pruned.gates, 2, compile_gate)
         for k, psi in enumerate(ens):
             if np.max(np.abs(run(circ, psi) - u_orig @ psi)) > 1e-10:
                 failures.append(f"seed{seed}: original outputs disagree with the oracle")

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -8,12 +7,13 @@ import pytest
 from oracles import circuit_unitary
 
 from qiprune.circuit import (
+    BLOCK_SIZE,
     CNOT,
     ROT,
     Circuit,
     Gate,
+    apply_gate_sequence,
     block_centers,
-    block_members,
     build_ansatz,
     compile_gate,
     rot_derivatives,
@@ -23,9 +23,7 @@ from qiprune.circuit import (
     zyz_angles,
 )
 from qiprune.linalg import random_state, unitarity_deviation
-from qiprune.pruner import certify, merge_adjacent_duplicates, partition, prune
-from qiprune.qmetric import build_geometry, calibrate_epsilon
-from qiprune.tasks import z0_observable
+from qiprune.pruner import merge_adjacent_duplicates
 
 
 def basis(n, i):
@@ -46,7 +44,7 @@ class TestCompileGate:
 
     def test_cnot_truth_table(self):
         g = Gate(id=0, kind=CNOT, layer=0, slot=0, control=0, target=1)
-        out = run(Circuit(2, 1, (g,)), basis(2, 0b10))
+        out = apply_gate_sequence(basis(2, 0b10), (g,), 2)
         np.testing.assert_allclose(out, basis(2, 0b11), atol=1e-15)
 
     def test_rot_unitarity_1000_random_triples(self):
@@ -147,11 +145,11 @@ class TestBuildAnsatz:
 class TestRun:
     def test_empty_circuit(self):
         psi = random_state(2, np.random.default_rng(1))
-        np.testing.assert_array_equal(run(Circuit(2, 1, ()), psi), psi)
+        np.testing.assert_array_equal(apply_gate_sequence(psi, (), 2), psi)
 
     def test_x_equivalent_rot_flips_zero(self):
         g = Gate(id=0, kind=ROT, layer=0, slot=0, qubit=0, angles=(0.0, math.pi, 0.0))
-        out = run(Circuit(1, 1, (g,)), basis(1, 0))
+        out = apply_gate_sequence(basis(1, 0), (g,), 1)
         assert abs(np.vdot(out, basis(1, 1))) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_blocks_leave_ring_permutation(self):
@@ -187,82 +185,59 @@ class TestRun:
             run(build_ansatz(2, 1), basis(3, 0))
 
 
-def _block_circuit(n_qubits, blocks):
-    """Rot blocks (per layer, per qubit a list of angle triples), each layer closed by a CNOT ring."""
-    gates = []
-    for layer, per_qubit in enumerate(blocks):
-        for qubit, members in enumerate(per_qubit):
-            for slot, angles in enumerate(members):
-                gates.append(Gate(len(gates), ROT, layer, slot, qubit=qubit, angles=tuple(angles)))
-        for i in range(n_qubits):
-            gates.append(Gate(len(gates), CNOT, layer, i, control=i, target=(i + 1) % n_qubits))
-    return Circuit(n_qubits, len(blocks), tuple(gates))
+def _block_circuit(blocks):
+    """Circuit of Rot blocks given per layer, per qubit as a list of BLOCK_SIZE angle triples."""
+    return Circuit(np.swapaxes(np.array(blocks, dtype=float), 0, 1))
 
 
 def _oracle_outputs(circ, states):
     """Each state through the circuit's full unitary (oracles.circuit_unitary)."""
-    return states @ circuit_unitary(circ, compile_gate).T
-
-
-def _with_gates(circ, gates):
-    """`circ` with another gate sequence, ids renumbered to positions."""
-    return Circuit(circ.n_qubits, circ.depth, tuple(dc_replace(g, id=i) for i, g in enumerate(gates)))
-
-
-def _cnot_inside_block():
-    circ = build_ansatz(2, 1, sigma=0.1, seed=3)
-    cnot = circ.gates[-1]
-    return _with_gates(circ, circ.gates[:2] + (cnot,) + circ.gates[2:-1])
-
-
-def _missing_ring():
-    circ = build_ansatz(2, 2, sigma=0.1, seed=3)
-    return _with_gates(circ, circ.gates[:10] + circ.gates[12:])
-
-
-OUTSIDE_LAYOUT = {
-    "cnot_inside_block": _cnot_inside_block,
-    "missing_ring": _missing_ring,
-    "empty": lambda: Circuit(1, 1, ()),
-}
+    return states @ circuit_unitary(circ.gates, circ.n_qubits, compile_gate).T
 
 
 class TestBlockMembers:
     def test_reads_member_angles_by_qubit_layer_and_slot(self):
         circ = build_ansatz(3, 2, sigma=0.2, seed=12)
-        members = block_members(circ)
-        assert members.shape == (3, 2, 5, 3)
+        assert circ.members.shape == (3, 2, 5, 3)
         for g in circ.gates:
             if g.kind == ROT:
-                assert tuple(members[g.qubit, g.layer, g.slot]) == g.angles
+                assert tuple(circ.members[g.qubit, g.layer, g.slot]) == g.angles
 
-    @pytest.mark.parametrize("name", sorted(OUTSIDE_LAYOUT))
-    def test_error_names_the_first_offending_gate(self, name):
-        message = {
-            "cnot_inside_block": r"gate 2 is cnot \(layer 0, slot 1, wires 1->0\), not rot \(layer 0, slot 2, qubit 0\)",
-            "missing_ring": r"gate 10 is rot \(layer 1, slot 0, qubit 0\), not cnot \(layer 0, slot 0, wires 0->1\)",
-            "empty": r"gate 0 is absent, not rot \(layer 0, slot 0, qubit 0\)",
-        }[name]
-        with pytest.raises(ValueError, match=message):
-            block_members(OUTSIDE_LAYOUT[name]())
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 5, 3), (2, 1, 4, 3), (2, 1, 5, 2), (0, 1, 5, 3), (2, 0, 5, 3)],
+        ids=["ndim", "slot_count", "angle_count", "zero_qubits", "zero_depth"],
+    )
+    def test_shapes_outside_the_layout_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"members must have shape \(n_qubits >= 1, depth >= 1, 5, 3\)"):
+            Circuit(np.zeros(shape))
 
-    def test_gate_past_the_last_layer_rejected(self):
-        circ = build_ansatz(1, 1, sigma=0.1, seed=0)
-        extra = Gate(5, ROT, 1, 0, qubit=0, angles=(0.1, 0.2, 0.3))
-        with pytest.raises(ValueError, match=r"gate 5 is rot \(layer 1, slot 0, qubit 0\), not absent"):
-            block_members(Circuit(1, 1, circ.gates + (extra,)))
+    def test_members_are_a_read_only_copy(self):
+        members = np.random.default_rng(13).uniform(-1, 1, size=(2, 1, 5, 3))
+        circ = Circuit(members)
+        members[0, 0, 0] = 9.0
+        assert circ.members[0, 0, 0, 0] != 9.0
+        assert circ == Circuit(circ.members) and circ != Circuit(members)
+        with pytest.raises(ValueError, match="read-only"):
+            circ.members[0, 0, 0, 0] = 9.0
 
-
-def _block_circuit(n_qubits, blocks):
-    """Rot blocks (per layer, per qubit a list of angle triples), each layer closed by a CNOT ring."""
-    gates = []
-    for layer, per_qubit in enumerate(blocks):
-        for qubit, members in enumerate(per_qubit):
-            for slot, angles in enumerate(members):
-                gates.append(Gate(len(gates), ROT, layer, slot, qubit=qubit, angles=tuple(angles)))
-        for i in range(n_qubits):
-            gates.append(Gate(len(gates), CNOT, layer, i, control=i, target=(i + 1) % n_qubits))
-    return Circuit(n_qubits, len(blocks), tuple(gates))
+    def test_gates_view_matches_gate_by_gate_construction(self):
+        # the Gate tuple build_ansatz built before circuits held member arrays:
+        # per layer each qubit's five Rot gates, then the CNOT ring; ids are positions
+        n, depth, sigma, seed = 3, 2, 0.01, 5
+        centers = np.random.default_rng([seed, 1]).uniform(-math.pi, math.pi, size=(n, depth, 3))
+        xi = np.random.default_rng([seed, 0]).standard_normal(size=(depth, n, BLOCK_SIZE, 3))
+        expected = []
+        for layer in range(depth):
+            for q in range(n):
+                for slot in range(BLOCK_SIZE):
+                    angles = tuple((centers[q, layer] + sigma * xi[layer, q, slot]).tolist())
+                    expected.append(Gate(len(expected), ROT, layer, slot, qubit=q, angles=angles))
+            for i in range(n):
+                expected.append(Gate(len(expected), CNOT, layer, i, control=i, target=(i + 1) % n))
+        circ = build_ansatz(n, depth, sigma=sigma, seed=seed)
+        assert circ.gates == tuple(expected)
+        assert circ.gates is circ.gates
 
 
 class TestFuseBlocks:
@@ -286,7 +261,7 @@ class TestFuseBlocks:
         special = [(a, 0.0, c) for a, c in rng.uniform(-math.pi, math.pi, size=(4, 2))]
         special.insert(2, (0.4, beta, -1.1))
         generic = rng.uniform(-math.pi, math.pi, size=(5, 3))
-        circ = _block_circuit(2, [[special, generic], [generic, special]])
+        circ = _block_circuit([[special, generic], [generic, special]])
         product = rot_matrix(*np.array(special[::-1]).T)
         product = product[0] @ product[1] @ product[2] @ product[3] @ product[4]
         assert abs(product[1, 0] if beta == 0.0 else product[0, 0]) < 1e-12
@@ -303,20 +278,18 @@ class TestFuseBlocks:
             Gate(2, CNOT, 0, 0, control=1, target=0),
             Gate(3, ROT, 0, 2, qubit=0, angles=a),
         )
-        circ = Circuit(2, 1, gates)
-        merged, removed = merge_adjacent_duplicates(circ)
+        merged, removed = merge_adjacent_duplicates(gates)
         assert removed == 1
-        assert [g.kind for g in merged.gates] == [ROT, CNOT, ROT]
-        assert merged.gates[2].angles == a
+        assert [g.kind for g in merged] == [ROT, CNOT, ROT]
+        assert merged[2].angles == a
         np.testing.assert_allclose(
-            circuit_unitary(merged, compile_gate), circuit_unitary(circ, compile_gate), rtol=0, atol=1e-12
+            circuit_unitary(merged, 2, compile_gate), circuit_unitary(gates, 2, compile_gate), rtol=0, atol=1e-12
         )
 
     def test_circuit_without_rot_gates_is_unchanged(self):
         gates = tuple(Gate(i, CNOT, 0, i, control=i, target=(i + 1) % 3) for i in range(3))
-        circ = Circuit(3, 1, gates)
-        assert merge_adjacent_duplicates(circ) == (circ, 0)
-        assert merge_adjacent_duplicates(Circuit(2, 1, ())) == (Circuit(2, 1, ()), 0)
+        assert merge_adjacent_duplicates(gates) == (gates, 0)
+        assert merge_adjacent_duplicates(()) == ((), 0)
 
 
 class TestRunFused:
@@ -331,14 +304,18 @@ class TestRunFused:
         np.testing.assert_allclose(got, _oracle_outputs(circ, states), rtol=0, atol=1e-12)
 
     def test_cnot_only_and_empty_circuits(self):
-        # outside the ansatz layout: run_fused refuses them, run executes them
+        # outside the ansatz layout: no Circuit holds them (no Rot slots, no
+        # layer), and apply_gate_sequence executes them
         rng = np.random.default_rng(16)
         states = np.array([random_state(3, rng) for _ in range(3)])
         gates = tuple(Gate(i, CNOT, 0, i, control=i, target=(i + 1) % 3) for i in range(3))
-        for circ in (Circuit(3, 1, gates), Circuit(3, 1, ())):
-            with pytest.raises(ValueError, match="not a 3-qubit depth-1 ansatz"):
-                run_fused(circ, states)
-            np.testing.assert_allclose(run(circ, states), _oracle_outputs(circ, states), rtol=0, atol=1e-12)
+        for members in (np.zeros((3, 1, 0, 3)), np.zeros((3, 0, BLOCK_SIZE, 3))):
+            with pytest.raises(ValueError, match="members must have shape"):
+                Circuit(members)
+        for seq in (gates, ()):
+            np.testing.assert_allclose(
+                apply_gate_sequence(states, seq, 3), states @ circuit_unitary(seq, 3, compile_gate).T, rtol=0, atol=1e-12
+            )
 
     def test_single_state_and_dimension_check(self):
         circ = build_ansatz(2, 1, sigma=0.1, seed=4)
@@ -350,47 +327,25 @@ class TestRunFused:
             run_fused(circ, basis(3, 0))
 
 
-def _certify_alone(circ):
-    """certify with `circ` as both the original and the pruned circuit."""
-    n = circ.n_qubits
-    geo = build_geometry(n, 1.0)
-    ens = np.array([random_state(n, np.random.default_rng(18))])
-    _, report = prune(build_ansatz(n, circ.depth), ens, geo, calibrate_epsilon(0.01, geo))
-    return certify(report, circ, circ, ens, z0_observable(n))
-
-
-@pytest.mark.parametrize("name", sorted(OUTSIDE_LAYOUT))
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda c: run_fused(c, np.eye(c.dim, dtype=complex)),
-        partition,
-        _certify_alone,
-        block_centers,
-    ],
-    ids=["run_fused", "partition", "certify", "block_centers"],
-)
-def test_layout_users_reject_circuits_outside_the_layout(entry, name):
-    circ = OUTSIDE_LAYOUT[name]()
-    with pytest.raises(ValueError, match="ansatz"):
-        entry(circ)
-    run(circ, np.eye(circ.dim, dtype=complex))
-
-
 @pytest.mark.parametrize(
     "overrides",
-    [{"task": "tfim", "n_qubits": 3, "vqe_iters": 1}, {"task": "bas", "train_epochs": 0}],
+    [{"task": "tfim", "n_qubits": 3, "vqe_iters": 1}, {"task": "bas", "train_epochs": 1}],
 )
 def test_grid_point_builds_no_euler_angles_or_rot_matrices_one_by_one(monkeypatch, overrides):
-    # every output pass applies block_walk's products: no gate goes through
+    # training, VQE and every output pass work on member arrays and apply
+    # block_walk's products: no Gate is built, no gate goes through
     # compile_gate and no product goes back to ZYZ angles
     import qiprune.circuit
     import qiprune.pruner
     from qiprune import cli
 
-    ctx = cli.prepare_task(cli.RunConfig(depth=1, M=4, seed=0, **overrides))
-    compiled, angles = [], []
+    built, compiled, angles = [], [], []
+    init_original = Gate.__init__
     compile_original, zyz_original = qiprune.circuit.compile_gate, qiprune.pruner.zyz_angles
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init_original(self, *args, **kwargs)
 
     def counted_compile(g):
         compiled.append(g.kind)
@@ -400,12 +355,16 @@ def test_grid_point_builds_no_euler_angles_or_rot_matrices_one_by_one(monkeypatc
         angles.append(1)
         return zyz_original(mat)
 
+    monkeypatch.setattr(Gate, "__init__", counted_init)
     monkeypatch.setattr(qiprune.circuit, "compile_gate", counted_compile)
     # merge_adjacent_duplicates is zyz_angles' only caller
     monkeypatch.setattr(qiprune.pruner, "zyz_angles", counted_zyz)
+    ctx = cli.prepare_task(cli.RunConfig(depth=1, M=4, seed=0, **overrides))
     result = cli.run_grid_point(ctx, 0.02, 0.003)
     assert result["report"].L > 0
-    assert angles == [] and compiled == []
+    assert built == [] and angles == [] and compiled == []
+    # the counter sees Gates built outside the grid point
+    assert len(build_ansatz(1, 1).gates) == len(built) == BLOCK_SIZE
 
 
 class TestZyzAngles:

@@ -260,6 +260,17 @@ class TestPruneCommand:
         report = json.loads((tmp_path / "report_bas_d0.01_s0.001_seed0.json").read_text())["report"]
         assert {c: float(row[c]) for c in CSV_COLUMNS[3:]} == {c: report[c] for c in CSV_COLUMNS[3:]}
 
+    @pytest.mark.parametrize("kind", ["directory", "list", "null"])
+    def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_text({"list": "[1, 2]", "null": "null"}[kind])
+        assert main(["prune", "--task", "bas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"task": "bas", "sigma": 0.0, "train_epochs": 0}))

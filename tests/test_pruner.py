@@ -5,7 +5,7 @@ import pytest
 
 from oracles import circuit_unitary, per_member_dq_values
 
-from qiprune.circuit import CNOT, ROT, Circuit, Gate, build_ansatz, compile_gate, run
+from qiprune.circuit import ROT, Circuit, apply_gate_sequence, build_ansatz, compile_gate, run
 from qiprune.linalg import pure_trace_distance, random_state
 from qiprune.pruner import (
     MODES,
@@ -49,24 +49,13 @@ class TestPartition:
             assert group[0] == min(group)
 
     def test_no_rot_gates_rejected(self):
-        circ = Circuit(2, 1, (Gate(id=0, kind=CNOT, layer=0, slot=0, control=0, target=1),))
-        with pytest.raises(ValueError, match="not a 2-qubit depth-1 ansatz: gate 0 is cnot"):
-            partition(circ)
-
-    def test_non_positional_ids_rejected(self):
-        gates = (
-            Gate(id=5, kind=ROT, layer=0, slot=0, qubit=0, angles=(0.1, 0.2, 0.3)),
-        )
-        with pytest.raises(ValueError, match="positions"):
-            partition(Circuit(1, 1, gates))
+        # a circuit without Rot members cannot be built, so partition never sees one
+        with pytest.raises(ValueError, match="members must have shape"):
+            Circuit(np.zeros((2, 1, 0, 3)))
 
 
 def _single_block_circuit(angle_sets):
-    gates = tuple(
-        Gate(id=i, kind=ROT, layer=0, slot=i, qubit=0, angles=tuple(a))
-        for i, a in enumerate(angle_sets)
-    )
-    return Circuit(1, 1, gates)
+    return Circuit(np.array(angle_sets, dtype=float)[None, None])
 
 
 class TestSelectReference:
@@ -211,22 +200,22 @@ class TestMerge:
         geo = build_geometry(2, 1.0)
         tol = calibrate_epsilon(0.01, geo)
         pruned, report = prune(circ, ensemble(2, 4, 13), geo, tol)
-        merged, removed = merge_adjacent_duplicates(pruned)
+        merged, removed = merge_adjacent_duplicates(pruned.gates)
         # two blocks of five identical gates collapse to one gate each
         assert removed == 8
         assert report.merged_removed == 8
         assert report.merged_gate_count == len(pruned.gates) - 8
         psi = random_state(2, np.random.default_rng(13))
-        np.testing.assert_allclose(run(merged, psi), run(pruned, psi), atol=1e-10)
+        np.testing.assert_allclose(apply_gate_sequence(psi, merged, 2), run(pruned, psi), atol=1e-10)
 
     def test_partial_runs(self):
         angles_a, angles_b = (0.3, -0.4, 0.9), (1.2, 0.1, -0.7)
         circ = _single_block_circuit([angles_a, angles_a, angles_b, angles_a, angles_a])
-        merged, removed = merge_adjacent_duplicates(circ)
+        merged, removed = merge_adjacent_duplicates(circ.gates)
         assert removed == 2
-        assert [g.id for g in merged.gates] == [0, 1, 2]
+        assert [g.id for g in merged] == [0, 1, 2]
         psi = random_state(1, np.random.default_rng(14))
-        np.testing.assert_allclose(run(merged, psi), run(circ, psi), atol=1e-12)
+        np.testing.assert_allclose(apply_gate_sequence(psi, merged, 1), run(circ, psi), atol=1e-12)
 
     def test_report_count_matches_merged_circuit(self):
         # prune counts equal-angle adjacent pairs; merge_adjacent_duplicates builds the circuit
@@ -239,15 +228,15 @@ class TestMerge:
             cap = [None, 1, 2][trial % 3]
             mode = MODES[trial % 2]
             pruned, report = prune(circ, ensemble(n, 4, trial), geo, tol, mode=mode, max_replace_per_group=cap)
-            merged, removed = merge_adjacent_duplicates(pruned)
+            merged, removed = merge_adjacent_duplicates(pruned.gates)
             assert report.merged_removed == removed
-            assert report.merged_gate_count == len(merged.gates)
+            assert report.merged_gate_count == len(merged)
 
     def test_no_duplicates_is_identity(self):
         circ = build_ansatz(2, 1, sigma=0.5, seed=15)
-        merged, removed = merge_adjacent_duplicates(circ)
+        merged, removed = merge_adjacent_duplicates(circ.gates)
         assert removed == 0
-        assert merged == circ
+        assert merged == circ.gates
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -294,8 +283,8 @@ class TestCertify:
         ens = ensemble(2, 6, 18)
         pruned, report = prune(circ, ens, geo, tol)
         assert report.L > 0
-        u_orig = circuit_unitary(circ, compile_gate)
-        u_pruned = circuit_unitary(pruned, compile_gate)
+        u_orig = circuit_unitary(circ.gates, 2, compile_gate)
+        u_pruned = circuit_unitary(pruned.gates, 2, compile_gate)
         for psi in ens:
             np.testing.assert_allclose(run(circ, psi), u_orig @ psi, atol=1e-10)
             np.testing.assert_allclose(run(pruned, psi), u_pruned @ psi, atol=1e-10)
@@ -308,7 +297,6 @@ class TestCertify:
         # with eps_state measured at the replacement site (q = 1 premise)
         from dataclasses import replace as dc_replace
 
-        from qiprune.circuit import apply_gate_sequence
         from qiprune.linalg import pure_trace_distance
         from qiprune.qmetric import d_q_per_state
 
@@ -324,9 +312,8 @@ class TestCertify:
         )
         gates = list(circ.gates)
         gates[target.id] = dc_replace(target, angles=ref_gate.angles)
-        replaced = Circuit(2, 2, tuple(gates))
         for k in range(len(ens)):
-            td = pure_trace_distance(run(circ, ens[k]), run(replaced, ens[k]))
+            td = pure_trace_distance(run(circ, ens[k]), apply_gate_sequence(ens[k], gates, 2))
             assert td <= 2.0 * math.sin(float(np.max(terms))) + 1e-9
             assert td <= 2.0 * math.sin(terms[k]) + 1e-9
 

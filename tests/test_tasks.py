@@ -251,15 +251,6 @@ class TestClassifierEvaluation:
             evaluate_classifier(IDENTITY, data)
 
 
-def member_angles(circuit):
-    """Rot angles of an ansatz circuit in `build_ansatz`'s layout (n_qubits, depth, BLOCK_SIZE, 3)."""
-    out = np.full((circuit.n_qubits, circuit.depth, BLOCK_SIZE, 3), np.nan)
-    for g in circuit.gates:
-        if g.kind == ROT:
-            out[g.qubit, g.layer, g.slot] = g.angles
-    return out
-
-
 def summed_onto_centers(circuit, grads, rot_positions):
     """Per-occurrence oracle gradients (n_rot, 3, B) summed onto (qubit, layer)."""
     out = np.zeros((circuit.n_qubits, circuit.depth) + grads.shape[1:])
@@ -275,13 +266,11 @@ class TestParameterShift:
     def test_gradient_matches_finite_differences(self):
         # oracle: central differences on full forward passes, all five block
         # members shifted together, which is what moving the block center does
-        from dataclasses import replace as dc_replace
-
         circ = build_ansatz(2, 2, sigma=0.3, seed=2)
         rng = np.random.default_rng(5)
         states = np.array([random_state(2, rng) for _ in range(3)])
 
-        values, grads, final = _expectations_and_grads(member_angles(circ), states, lambda phi: z0_diagonal(2) * phi)
+        values, grads, final = _expectations_and_grads(circ.members, states, lambda phi: z0_diagonal(2) * phi)
         np.testing.assert_allclose(values, z0_expectation(run(circ, states)), atol=1e-12)
         np.testing.assert_allclose(final, run(circ, states), atol=1e-12)
 
@@ -291,13 +280,9 @@ class TestParameterShift:
                 shifted = []
                 for sign in (+h, -h):
                     step = sign * np.eye(3)[a]
-                    gates = tuple(
-                        dc_replace(g, angles=tuple(np.add(g.angles, step)))
-                        if g.kind == ROT and (g.qubit, g.layer) == (qubit, layer)
-                        else g
-                        for g in circ.gates
-                    )
-                    shifted.append(z0_expectation(run(Circuit(2, 2, gates), states)))
+                    members = circ.members.copy()
+                    members[qubit, layer] += step
+                    shifted.append(z0_expectation(run(Circuit(members), states)))
                 fd = (shifted[0] - shifted[1]) / (2 * h)
                 np.testing.assert_allclose(grads[qubit, layer, a], fd, atol=1e-6)
 
@@ -312,7 +297,7 @@ class TestParameterShift:
         rng = np.random.default_rng([n, depth, batch])
         states = np.array([random_state(n, rng) for _ in range(batch)])
         values, grads, final = _expectations_and_grads(
-            member_angles(circ), states, lambda phi: z0_diagonal(n) * phi
+            circ.members, states, lambda phi: z0_diagonal(n) * phi
         )
         want_values, want_grads, rot_positions, want_final = checkpointed_expectations_and_grads(
             circ, states, z0_expectation
@@ -327,7 +312,7 @@ class TestParameterShift:
         ham = build_tfim(4).hamiltonian
         circ = build_ansatz(4, 2, sigma=0.2, seed=3)
         state = random_state(4, np.random.default_rng(8))[None]
-        values, grads, final = _expectations_and_grads(member_angles(circ), state, lambda phi: phi @ ham.T)
+        values, grads, final = _expectations_and_grads(circ.members, state, lambda phi: phi @ ham.T)
         want_values, want_grads, rot_positions, want_final = checkpointed_expectations_and_grads(
             circ, state, lambda phi: np.real(np.einsum("...i,ij,...j->...", np.conj(phi), ham, phi))
         )
@@ -362,7 +347,7 @@ class TestParameterShift:
         monkeypatch.setattr(qiprune.circuit, "compile_gate", counted_compile)
         circ = build_ansatz(4, 6, sigma=0.0, seed=0)
         states = generate_bas(4).states
-        _expectations_and_grads(member_angles(circ), states, lambda phi: z0_diagonal(4) * phi)
+        _expectations_and_grads(circ.members, states, lambda phi: z0_diagonal(4) * phi)
         n_blocks = circ.n_rot // BLOCK_SIZE
         n_cnot = len(circ.gates) - circ.n_rot
         assert len(calls) <= 6 * n_blocks + 3 * n_cnot == 216
@@ -430,7 +415,7 @@ def test_training_loops_build_no_circuit(monkeypatch):
     import qiprune.tasks
 
     calls = []
-    for name in ("build_ansatz", "run_fused"):
+    for name in ("Circuit", "run_fused"):
         original = getattr(qiprune.tasks, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -440,10 +425,10 @@ def test_training_loops_build_no_circuit(monkeypatch):
         monkeypatch.setattr(qiprune.tasks, name, counted)
     circ = build_ansatz(4, 2, sigma=0.0, seed=1)
     train_classifier(circ, generate_bas(4), epochs=2, lr=0.3, seed=0, batch_size=7)
-    assert calls == ["build_ansatz"]
+    assert calls == ["Circuit"]
     calls.clear()
     run_vqe(build_tfim(4), circ, iters=4, lr=0.1)
-    assert calls == ["build_ansatz"]
+    assert calls == ["Circuit"]
 
 
 class TestTfim:
@@ -485,6 +470,14 @@ class TestRunVqe:
         res = run_vqe(spec, circ, iters=30, lr=0.02)
         diffs = np.diff(res.energies)
         assert np.all(diffs <= 1e-6)
+
+    def test_energy_trace_monotone_when_every_backtrack_fails(self):
+        # at lr 50 some line searches find no step that lowers the energy:
+        # the centers must stay rather than take an untested step
+        spec = build_tfim(4)
+        res = run_vqe(spec, build_ansatz(4, 2, seed=0), iters=6, lr=50.0, max_backtracks=2)
+        assert np.all(np.diff(res.energies) <= 1e-12)
+        assert res.energies[-1] == pytest.approx(vqe_energy(res.trained, spec), abs=1e-12)
 
     def test_variational_lower_bound(self):
         spec = build_tfim(4)
@@ -554,3 +547,7 @@ class TestBuildEnsemble:
     def test_empty_source(self):
         with pytest.raises(ValueError, match="empty"):
             build_ensemble(np.zeros((0, 4)), M=3, seed=0)
+
+    def test_m_below_one_rejected(self):
+        with pytest.raises(ValueError, match="M must be >= 1, got 0"):
+            build_ensemble(generate_bas(4), M=0, seed=0)
