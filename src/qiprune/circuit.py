@@ -12,10 +12,11 @@ That gate order is the one block layout the package computes on. A
 circuit outside the layout cannot be built; `Circuit.gates` derives the
 per-gate view in execution order. `block_products` multiplies each block's
 member matrices into one 2x2 product, and `block_walk` applies the products
-and the CNOT rings in execution order, one kernel call each. `run_fused` is
-that walk; training, VQE and `pruner.prune` use the same two. `run` applies
-one kernel call per gate of `Circuit.gates`, and `apply_gate_sequence` runs
-any gate sequence.
+and the CNOT rings in execution order, one kernel call each, or in reverse
+order for the adjoint gradient. `_layout` is the only definition of that
+order. `run_fused` is the forward walk; training, VQE and `pruner.prune`
+use the same two. `run` applies one kernel call per gate of `Circuit.gates`,
+and `apply_gate_sequence` runs any gate sequence.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class Circuit:
     """An ansatz circuit as its member angles (n_qubits, depth, BLOCK_SIZE, 3):
     members[q, layer, slot] are the Rot angles of qubit q's block in `layer`.
 
-    Stores a read-only float copy; raises ValueError for any other shape or
-    for n_qubits or depth < 1. Equality compares the member values.
+    Stores a read-only float copy; raises ValueError for any other shape,
+    for n_qubits or depth < 1, and for non-finite angles. Equality compares
+    the member values.
     """
 
     members: np.ndarray
@@ -76,6 +78,8 @@ class Circuit:
             raise ValueError(
                 f"members must have shape (n_qubits >= 1, depth >= 1, {BLOCK_SIZE}, 3), got {members.shape}"
             )
+        if not np.all(np.isfinite(members)):
+            raise ValueError("member angles must be finite")
         members.flags.writeable = False
         object.__setattr__(self, "members", members)
 
@@ -196,23 +200,17 @@ def build_ansatz(
     return Circuit(centers[:, :, None] + sigma * np.swapaxes(xi, 0, 1))
 
 
-def cnot_ring(n_qubits: int) -> list[list[int]]:
-    """[control, target] wires of one layer's CNOT ring (i -> i + 1 mod n), in
-    order; empty on one qubit."""
-    if n_qubits < 2:
-        return []
-    return [[i, (i + 1) % n_qubits] for i in range(n_qubits)]
-
-
 @functools.lru_cache(maxsize=16)
 def _layout(n_qubits: int, depth: int) -> tuple[tuple, ...]:
     """(kind, layer, slot, qubit, control, target) of every gate of the ansatz
     layout in execution order: per layer, each qubit's BLOCK_SIZE Rot gates
-    in slot order, then the layer's `cnot_ring`."""
+    in slot order, then the layer's CNOT ring (i -> i + 1 mod n, in order;
+    none on one qubit). The only definition of the walk order."""
+    ring = [(i, (i + 1) % n_qubits) for i in range(n_qubits)] if n_qubits > 1 else []
     entries: list[tuple] = []
     for layer in range(depth):
         entries += [(ROT, layer, slot, q, None, None) for q in range(n_qubits) for slot in range(BLOCK_SIZE)]
-        entries += [(CNOT, layer, i, None, c, t) for i, (c, t) in enumerate(cnot_ring(n_qubits))]
+        entries += [(CNOT, layer, i, None, c, t) for i, (c, t) in enumerate(ring)]
     return tuple(entries)
 
 
@@ -231,20 +229,22 @@ def block_products(mats: np.ndarray) -> np.ndarray:
     return prod
 
 
-def block_walk(blocks: np.ndarray, states: np.ndarray, visit=None) -> np.ndarray:
-    """Apply per-block matrices (n_qubits, depth, 2, 2) in the ansatz layout's
-    order: per layer, each qubit's block, then the layer's CNOT ring. One
-    kernel call per block and per CNOT. `visit(qubit, layer, states)`, when
-    given, sees the states entering each block before it is applied."""
+def block_walk(blocks: np.ndarray, states: np.ndarray, visit=None, reverse=False) -> np.ndarray:
+    """Apply per-block matrices (n_qubits, depth, 2, 2) in `_layout` order, or
+    in its reverse order when `reverse` is set: each block at its slot-0
+    entry and each CNOT at its own, one kernel call each. `visit(qubit,
+    layer, states)`, when given, sees the states just before each block is
+    applied; walking the adjoint products in reverse, those are the forward
+    states just after the block."""
     n, depth = blocks.shape[:2]
-    ring = cnot_ring(n)
-    for layer in range(depth):
-        for q in range(n):
+    layout = _layout(n, depth)
+    for kind, layer, slot, qubit, control, target in reversed(layout) if reverse else layout:
+        if kind == CNOT:
+            states = apply_matrix(states, CNOT_MATRIX, [control, target], n)
+        elif slot == 0:
             if visit is not None:
-                visit(q, layer, states)
-            states = apply_matrix(states, blocks[q, layer], [q], n)
-        for wires in ring:
-            states = apply_matrix(states, CNOT_MATRIX, wires, n)
+                visit(qubit, layer, states)
+            states = apply_matrix(states, blocks[qubit, layer], [qubit], n)
     return states
 
 

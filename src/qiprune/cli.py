@@ -118,6 +118,9 @@ class RunConfig:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+        for name in ("train_lr", "vqe_lr"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name, low in (
             ("depth", 1), ("M", 1), ("max_replace_per_group", 1), ("train_batch", 1),
             ("max_train_samples", 1), ("seed", 0), ("train_epochs", 0), ("vqe_iters", 0),

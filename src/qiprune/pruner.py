@@ -32,7 +32,6 @@ from .circuit import (
     _layout,
     block_products,
     block_walk,
-    cnot_ring,
     rot_matrix,
     run_fused,
     zyz_angles,
@@ -115,10 +114,9 @@ def partition(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     blocks are closed under composition and inversion by construction. CNOT
     gates are never pruning candidates. Ids are positions in `Circuit.gates`.
     """
-    n = circuit.n_qubits
-    layer_len = n * BLOCK_SIZE + len(cnot_ring(n))
-    starts = (layer * layer_len + q * BLOCK_SIZE for layer in range(circuit.depth) for q in range(n))
-    return tuple(tuple(range(start, start + BLOCK_SIZE)) for start in starts)
+    # a block's BLOCK_SIZE Rot entries are adjacent in the layout
+    rot_ids = [gid for gid, entry in enumerate(_layout(circuit.n_qubits, circuit.depth)) if entry[0] == ROT]
+    return tuple(tuple(rot_ids[i : i + BLOCK_SIZE]) for i in range(0, len(rot_ids), BLOCK_SIZE))
 
 
 def _medoid(block: np.ndarray, compare) -> tuple[int, int]:

@@ -40,9 +40,15 @@ class DeformationParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        object.__setattr__(self, "q", math.exp(self.beta * (1.0 - self.lam)))
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        try:
+            q = math.exp(self.beta * (1.0 - self.lam))
+        except OverflowError:
+            raise ValueError(
+                f"q = exp(beta * (1 - lambda)) overflows for beta = {self.beta}, lambda = {self.lam}"
+            ) from None
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def from_noise(cls, gamma: float, alpha: float, beta: float = 1.0) -> "DeformationParams":

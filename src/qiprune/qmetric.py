@@ -49,8 +49,8 @@ def build_geometry(n_qubits: int, q: float) -> QGeometry:
     """Hamming-weight diagonal geometry, normalized to M_q = 1."""
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
     weights = np.array([bin(i).count("1") for i in range(1 << n_qubits)])
     g = q ** (weights - float(n_qubits))
     g = g / g.max()

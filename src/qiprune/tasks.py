@@ -4,10 +4,10 @@ Classification margins are <Z> on qubit 0; a sample is predicted +1 when the
 margin is >= 0. Training optimizes the per-block center angles of the ansatz
 (all five block members share the center during training, i.e. sigma = 0)
 with plain gradient descent; gradients come from one adjoint sweep over one
-product matrix per block (the forward pass is `circuit.block_walk`, then a
-reverse pass un-applies each block and CNOT), about 6 kernel calls per block
-and 3 per CNOT. Output-only passes (`margins`, `vqe_energy`, the VQE line
-search) walk the same `circuit.block_products`.
+product matrix per block (a forward `circuit.block_walk`, then a reverse one
+that un-applies each block and CNOT from psi and lambda stacked together),
+5 kernel calls per block and 2 per CNOT. Output-only passes (`margins`,
+`vqe_energy`, the VQE line search) walk the same `circuit.block_products`.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ import numpy as np
 
 from .circuit import (
     BLOCK_SIZE,
-    CNOT_MATRIX,
     Circuit,
     block_centers,
     block_products,
     block_walk,
-    cnot_ring,
     rot_derivatives,
     rot_matrix,
     run_fused,
@@ -266,6 +264,11 @@ def _check_at_least(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _check_lr(lr: float) -> None:
+    if not 0.0 < lr < np.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
+
+
 def _shared_members(centers: np.ndarray) -> np.ndarray:
     """Member angles (n_qubits, depth, BLOCK_SIZE, 3) of sigma = 0 blocks: every
     member sits at its block centre (a read-only view of `centers`)."""
@@ -277,14 +280,15 @@ def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observe):
 
     `members` holds the member angles in `build_ansatz`'s layout, shape
     (n_qubits, depth, BLOCK_SIZE, 3); `observe` applies the observable O to a
-    batch of states. Adjoint sweep on one product matrix B = R_4 ... R_0 per
-    block: the forward pass applies each B, then the layer's CNOT ring; the
-    reverse pass un-applies every CNOT and B^dag from both psi and
-    lambda = O psi, and between the two, with psi the state before the block
-    and lambda the one after it, centre angle a gets 2 Re <lambda|D_a psi>.
-    D_a = sum_s (R_4 ... R_{s+1}) dR_s/da (R_{s-1} ... R_0) comes from the
-    recurrence D <- R_s D + dR_s P, P <- R_s P over the slots, for all blocks
-    at once. That is 6 kernel calls per block and 3 per CNOT.
+    batch of states. Adjoint sweep (Jones & Gacon, arXiv:2009.02823) on one
+    product matrix B = R_4 ... R_0 per block: `block_walk` applies each B and
+    CNOT ring forward, then walks psi and lambda = O psi back as one stack
+    with every B^dag (a CNOT is its own inverse). Entering a block on the way
+    back, both are the states after it, so centre angle a gets
+    2 Re <lambda|D_a B^dag psi>. D_a = sum_s (R_4 ... R_{s+1}) dR_s/da
+    (R_{s-1} ... R_0) comes from the recurrence D <- R_s D + dR_s P,
+    P <- R_s P over the slots, for all blocks at once. That is 5 kernel
+    calls per block and 2 per CNOT.
 
     Returns (values (B,), grads (n_qubits, depth, 3, B), final_states).
     """
@@ -301,19 +305,15 @@ def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observe):
     values = np.real(np.sum(np.conj(final) * lam, axis=-1))
     grads = np.zeros((n, depth, 3) + states.shape[:-1])
     inverse = np.conj(np.swapaxes(prod, -1, -2))
-    ring = cnot_ring(n)
-    psi = final
-    for layer in reversed(range(depth)):
-        # CNOT is its own inverse
-        for wires in reversed(ring):
-            psi = apply_matrix(psi, CNOT_MATRIX, wires, n)
-            lam = apply_matrix(lam, CNOT_MATRIX, wires, n)
-        for q in reversed(range(n)):
-            psi = apply_matrix(psi, inverse[q, layer], [q], n)
-            for a in range(3):
-                d_psi = apply_matrix(psi, dprod[a, q, layer], [q], n)
-                grads[q, layer, a] = 2.0 * np.real(np.sum(np.conj(lam) * d_psi, axis=-1))
-            lam = apply_matrix(lam, inverse[q, layer], [q], n)
+    tangents = dprod @ inverse
+
+    def score(q: int, layer: int, pair: np.ndarray) -> None:
+        psi, lam = pair
+        for a in range(3):
+            d_psi = apply_matrix(psi, tangents[a, q, layer], [q], n)
+            grads[q, layer, a] = 2.0 * np.real(np.sum(np.conj(lam) * d_psi, axis=-1))
+
+    block_walk(inverse, np.stack([final, lam]), score, reverse=True)
     return values, grads, final
 
 
@@ -331,12 +331,14 @@ def train_classifier(
     Expects a sigma = 0 circuit (block centers read from the slot-0 members).
     Returns a fresh sigma = 0 circuit with the trained centers; resample the
     candidate pools around it afterwards. Deterministic given seed. Raises
-    ValueError for epochs < 0, batch_size or max_train_samples < 1, and an
-    empty dataset or (with epochs >= 1) an empty training split.
+    ValueError for epochs < 0, batch_size or max_train_samples < 1, an lr
+    that is not positive and finite, and an empty dataset or (with
+    epochs >= 1) an empty training split.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
     _check_at_least("epochs", epochs, 0)
+    _check_lr(lr)
     _check_at_least("batch_size", batch_size, 1)
     _check_at_least("max_train_samples", max_train_samples, 1)
     n = circuit.n_qubits
@@ -406,9 +408,12 @@ def run_vqe(
     centers stay, so the trace is non-increasing. The energy trace has one
     entry per iteration plus the final energy. Output states of the evolving
     circuit are snapshotted at evenly spaced iterations (at most `snapshots`
-    of them) for ensemble construction. Raises ValueError for iters < 0.
+    of them) for ensemble construction. Raises ValueError for iters or
+    max_backtracks < 0 and an lr that is not positive and finite.
     """
     _check_at_least("iters", iters, 0)
+    _check_at_least("max_backtracks", max_backtracks, 0)
+    _check_lr(lr)
     if spec.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"hamiltonian is on {spec.n_qubits} qubits, circuit on {circuit.n_qubits}"

@@ -14,6 +14,8 @@ from qiprune.circuit import (
     Gate,
     apply_gate_sequence,
     block_centers,
+    block_products,
+    block_walk,
     build_ansatz,
     compile_gate,
     rot_derivatives,
@@ -22,7 +24,7 @@ from qiprune.circuit import (
     run_fused,
     zyz_angles,
 )
-from qiprune.linalg import random_state, unitarity_deviation
+from qiprune.linalg import apply_matrix, random_state, unitarity_deviation
 from qiprune.pruner import merge_adjacent_duplicates
 
 
@@ -212,6 +214,17 @@ class TestBlockMembers:
         with pytest.raises(ValueError, match=r"members must have shape \(n_qubits >= 1, depth >= 1, 5, 3\)"):
             Circuit(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "neg_inf"])
+    def test_non_finite_angles_rejected(self, bad):
+        members = np.zeros((2, 1, BLOCK_SIZE, 3))
+        members[1, 0, 3, 2] = bad
+        with pytest.raises(ValueError, match="member angles must be finite"):
+            Circuit(members)
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            build_ansatz(2, 1, sigma=float("nan"))
+
     def test_members_are_a_read_only_copy(self):
         members = np.random.default_rng(13).uniform(-1, 1, size=(2, 1, 5, 3))
         circ = Circuit(members)
@@ -290,6 +303,53 @@ class TestFuseBlocks:
         gates = tuple(Gate(i, CNOT, 0, i, control=i, target=(i + 1) % 3) for i in range(3))
         assert merge_adjacent_duplicates(gates) == (gates, 0)
         assert merge_adjacent_duplicates(()) == ((), 0)
+
+
+class TestBlockWalk:
+    """`block_walk` forward and in reverse: both follow `_layout`."""
+
+    @staticmethod
+    def _blocks(n, depth, seed):
+        circ = build_ansatz(n, depth, sigma=0.3, seed=seed)
+        return block_products(rot_matrix(*np.moveaxis(circ.members, -1, 0)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_reverse_walk_of_the_adjoints_undoes_the_forward_walk(self, n, depth):
+        blocks = self._blocks(n, depth, seed=10 * n + depth)
+        inverse = np.conj(np.swapaxes(blocks, -1, -2))
+        rng = np.random.default_rng(n + depth)
+        batch = np.array([random_state(n, rng) for _ in range(3)])
+        for states in (batch[0], batch, np.stack([batch, batch[::-1]])):
+            out = block_walk(blocks, states)
+            assert np.max(np.abs(out - states)) > 1e-3
+            back = block_walk(inverse, out, reverse=True)
+            np.testing.assert_allclose(back, states, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, depth", [(1, 2), (3, 2), (4, 3)])
+    def test_reverse_visits_are_the_forward_visits_reversed(self, n, depth):
+        blocks = self._blocks(n, depth, seed=3)
+        state = random_state(n, np.random.default_rng(4))
+        seen = {False: [], True: []}
+        for reverse in seen:
+            block_walk(blocks, state, lambda q, layer, _, r=reverse: seen[r].append((q, layer)), reverse=reverse)
+        assert seen[False] == [(q, layer) for layer in range(depth) for q in range(n)]
+        assert seen[True] == seen[False][::-1]
+
+    def test_reverse_visit_sees_the_states_leaving_the_block(self):
+        # forward visits see the states entering a block; walking the adjoints
+        # back, a visit sees the forward states right after that block
+        n, depth = 3, 2
+        blocks = self._blocks(n, depth, seed=5)
+        inverse = np.conj(np.swapaxes(blocks, -1, -2))
+        state = random_state(n, np.random.default_rng(6))
+        entering, leaving = {}, {}
+        final = block_walk(blocks, state, lambda q, layer, s: entering.__setitem__((q, layer), s))
+        block_walk(inverse, final, lambda q, layer, s: leaving.__setitem__((q, layer), s), reverse=True)
+        assert entering.keys() == leaving.keys()
+        for (q, layer), s in entering.items():
+            expected = apply_matrix(s, blocks[q, layer], [q], n)
+            np.testing.assert_allclose(leaving[q, layer], expected, rtol=0, atol=1e-12)
 
 
 class TestRunFused:

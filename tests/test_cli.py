@@ -138,10 +138,26 @@ class TestRunConfig:
         assert main(["prune", "--depth", "1", *flags]) == 2
         assert "must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--gamma", "5"], ["--beta", "-1"]], ids=["lambda_negative", "beta_negative"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gamma", "5"], ["--beta", "-1"], ["--beta", "1e5"]],
+        ids=["lambda_negative", "beta_negative", "q_overflows"],
+    )
     def test_bad_deformation_is_usage_error_before_training(self, flags, no_training, capsys):
         assert main(["prune", "--task", "bas", *flags]) == 2
         assert "deformation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--task", "bas", "--train-lr", "0"], "train_lr must be positive"),
+            (["--task", "tfim", "--vqe-lr=-0.1"], "vqe_lr must be positive"),
+        ],
+        ids=["train_lr_zero", "vqe_lr_negative"],
+    )
+    def test_nonpositive_learning_rate_is_usage_error(self, flags, message, no_training, capsys):
+        assert main(["prune", "--depth", "1", *flags]) == 2
+        assert message in capsys.readouterr().err
 
     def test_hash_pinned(self):
         # every report records config_hash; it must not move when RunConfig code does

@@ -39,6 +39,14 @@ class TestDeformationParams:
         with pytest.raises(ValueError, match="beta"):
             DeformationParams(0.5, beta=0.0)
 
+    def test_overflowing_q_names_beta_and_lambda(self):
+        with pytest.raises(ValueError, match=r"overflows for beta = 100000.0, lambda = 0.97"):
+            DeformationParams.from_noise(gamma=0.05, alpha=0.6, beta=1e5)
+        assert DeformationParams(1.0, beta=1e5).q == 1.0
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                DeformationParams(0.5, beta=beta)
+
 
 class TestQNumber:
     @pytest.mark.parametrize("x", [1.0, 2.0, 5.0])

@@ -60,6 +60,9 @@ class TestBuildGeometry:
     def test_errors(self):
         with pytest.raises(ValueError, match="positive"):
             build_geometry(2, 0.0)
+        for q in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                build_geometry(2, q)
         with pytest.raises(ValueError, match="qubit"):
             build_geometry(0, 1.0)
 

@@ -323,10 +323,11 @@ class TestParameterShift:
         )
 
     def test_kernel_calls_per_gradient(self, monkeypatch):
-        # adjoint sweep on one product per block: per block 1 forward, 2 reverse
-        # (psi and lambda) and 3 derivative calls; per CNOT 1 forward and 2 reverse.
-        # The per-gate sweep it replaced made 792 calls on this circuit, the
-        # parameter-shift walk before it 9,684. No Rot compiles on its own.
+        # adjoint sweep on one product per block: per block 1 forward, 1 reverse
+        # (psi and lambda stacked) and 3 derivative calls; per CNOT 1 forward and
+        # 1 reverse. The per-gate sweep it replaced made 792 calls on this
+        # circuit, the parameter-shift walk before it 9,684. No Rot compiles on
+        # its own.
         import qiprune.circuit
         import qiprune.tasks
 
@@ -350,7 +351,7 @@ class TestParameterShift:
         _expectations_and_grads(circ.members, states, lambda phi: z0_diagonal(4) * phi)
         n_blocks = circ.n_rot // BLOCK_SIZE
         n_cnot = len(circ.gates) - circ.n_rot
-        assert len(calls) <= 6 * n_blocks + 3 * n_cnot == 216
+        assert len(calls) == 5 * n_blocks + 2 * n_cnot == 168
         assert ROT not in compiled_kinds
 
 
@@ -401,6 +402,13 @@ class TestTrainClassifier:
         small = EncodedDataset("b", 2, np.eye(4, dtype=complex), np.array([1, -1, 1, -1]), np.arange(4), np.arange(4))
         with pytest.raises(ValueError, match=f"{knob} must be >= "):
             train_classifier(circ, small, **{"epochs": 1, knob: value})
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"])
+    def test_bad_learning_rate_rejected(self, lr):
+        circ = build_ansatz(2, 1, sigma=0.0, seed=0)
+        small = EncodedDataset("b", 2, np.eye(4, dtype=complex), np.array([1, -1, 1, -1]), np.arange(4), np.arange(4))
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            train_classifier(circ, small, epochs=1, lr=lr)
 
     def test_empty_training_split(self):
         circ = build_ansatz(2, 1, sigma=0.0, seed=0)
@@ -503,6 +511,21 @@ class TestRunVqe:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="iters must be >= 0"):
             run_vqe(build_tfim(2), build_ansatz(2, 1, sigma=0.0, seed=5), iters=-2)
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"max_backtracks": -1}, "max_backtracks must be >= 0"),
+            ({"lr": -0.1}, "lr must be positive and finite"),
+            ({"lr": 0.0}, "lr must be positive and finite"),
+            ({"lr": float("nan")}, "lr must be positive and finite"),
+        ],
+        ids=["negative_backtracks", "negative_lr", "zero_lr", "nan_lr"],
+    )
+    def test_knobs_that_would_never_step_rejected(self, knobs, message):
+        # each used to return an untrained circuit with a flat energy trace
+        with pytest.raises(ValueError, match=message):
+            run_vqe(build_tfim(2), build_ansatz(2, 1, seed=0), iters=3, **knobs)
 
     def test_normalized_energy(self):
         spec = build_tfim(2)
