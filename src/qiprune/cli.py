@@ -24,10 +24,10 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .circuit import block_centers, build_ansatz
-from .linalg import operator_norm
+from .linalg import MAX_QUBITS, operator_norm
 from .pruner import MODES, certify, prune
 from .qalgebra import DeformationParams
-from .qmetric import EPSILON_RULES, build_geometry, calibrate_epsilon
+from .qmetric import EPSILON_RULES, QGeometry, build_geometry, calibrate_epsilon
 from .tasks import (
     EncodedDataset,
     build_ensemble,
@@ -136,11 +136,17 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r} (expected one of {MODES})")
         if self.n_qubits is None:
             object.__setattr__(self, "n_qubits", TASK_INFO[self.task]["n_qubits"])
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
         try:
             deformation = DeformationParams.from_noise(self.gamma, self.alpha, self.beta)
         except ValueError as exc:
             raise ConfigError(f"deformation knobs (lambda = 1 - gamma * alpha): {exc}") from exc
         object.__setattr__(self, "_deformation", deformation)
+        try:
+            object.__setattr__(self, "_geometry", build_geometry(self.n_qubits, self.q))
+        except ValueError as exc:
+            raise ConfigError(f"deformation knobs (q = exp(beta * (1 - lambda))): {exc}") from exc
 
     @property
     def lam(self) -> float:
@@ -149,6 +155,10 @@ class RunConfig:
     @property
     def q(self) -> float:
         return self._deformation.q
+
+    @property
+    def geometry(self) -> QGeometry:
+        return self._geometry
 
     def hash(self) -> str:
         """Hash of the run semantics; environment paths are excluded."""
@@ -250,7 +260,7 @@ def run_grid_point(ctx: TaskContext, delta: float, sigma: float) -> dict:
     config = dc_replace(ctx.config, delta=delta, sigma=sigma)
     n = config.n_qubits
     baseline = build_ansatz(n, config.depth, centers=ctx.trained_centers, sigma=sigma, seed=config.seed)
-    geo = build_geometry(n, config.q)
+    geo = config.geometry
     tol = calibrate_epsilon(delta, geo, rule=config.epsilon_rule)
     pruned, report = prune(
         baseline,

@@ -16,6 +16,9 @@ import numpy as np
 #: absolute tolerance for unitarity / norm assertions throughout the package
 ATOL = 1e-10
 
+#: the kernel's range is 2^1 .. 2^MAX_QUBITS; the CLI rejects larger runs
+MAX_QUBITS = 10
+
 
 def n_qubits_of(state: np.ndarray) -> int:
     """Number of qubits for a state of length 2**n."""

@@ -2,19 +2,20 @@
 
 Blocks are those of the ansatz layout in `circuit`, and a `Circuit` is its
 member-angle array, so `partition` only names each block's gate ids.
-Decisions use the ensemble-average distance d_q computed on each block's
-prefix ensemble (states propagated through the original circuit to the
-block's first gate); the report additionally records the per-state maximum
-so the state-wise bound can be certified. `prune` compiles the members in
-one `rot_matrix` call and uses them for the comparisons, one batched
-`block_comparator` call per block, for the medoid, and for the prefix walk,
-`circuit.block_walk` over the `block_products`. Replacement is structural: a
-pruned member keeps its place but takes the reference's angles. `certify`
-runs both circuits with `circuit.run_fused` (one product per block, exact).
-The reported merged gate count joins only runs of identical adjacent members
-(the count that `merge_adjacent_duplicates` gives on `Circuit.gates`), so it
-never drops below the one Rot per block that lossless fusion leaves without
-pruning anything.
+`prune` scores, then decides. One `circuit.block_walk` over the original
+circuit's `block_products` fills a score table: per member, the
+ensemble-mean and per-state max d_q against its block's reference on the
+block's prefix ensemble (the states entering the block in the original
+circuit), each (n_qubits, depth, 5), and the reference slots (n_qubits,
+depth). The decision is array code over the table; it uses the mean, and
+the per-state max is reported so the state-wise bound can be certified.
+Replacement is structural: a pruned member keeps its place but takes the
+reference's angles. `certify` runs both circuits with `circuit.run_fused`
+(one product per block, exact). The reported merged gate count joins only
+runs of identical adjacent members (the count that
+`merge_adjacent_duplicates` gives on `Circuit.gates`), so it never drops
+below the one Rot per block that lossless fusion leaves without pruning
+anything.
 """
 
 from __future__ import annotations
@@ -119,25 +120,6 @@ def partition(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rot_ids[i : i + BLOCK_SIZE]) for i in range(0, len(rot_ids), BLOCK_SIZE))
 
 
-def _medoid(block: np.ndarray, compare) -> tuple[int, int]:
-    """Slot whose member minimizes summed d_q to the rest of the block; ties ->
-    smallest slot.
-
-    `block` holds the members' matrices by slot and `compare` is the block's
-    `block_comparator`; each member is compared with all later ones in one
-    call. Returns (slot, number of pairwise evaluations performed).
-    """
-    sums = [0.0] * len(block)
-    count = 0
-    for a in range(len(block) - 1):
-        for b, d in enumerate(compare(block[a], block[a + 1 :]).mean(axis=1).tolist(), a + 1):
-            sums[a] += d
-            sums[b] += d
-            count += 1
-    best = min(range(len(block)), key=lambda s: (sums[s], s))
-    return best, count
-
-
 def prune(
     circuit: Circuit,
     ensemble,
@@ -148,91 +130,81 @@ def prune(
 ) -> tuple[Circuit, PruneReport]:
     """One-shot redundancy pruning with structured replacement.
 
-    Walks the original circuit once with `circuit.block_walk`, propagating
-    the ensemble through each block's product; at each block it compares
-    every non-reference member against the reference (the block's first
-    member, or its medoid in "pairwise_medoid" mode) on the block-prefix
-    ensemble and replaces it when the mean distance is within epsilon_q.
-    `max_replace_per_group` optionally caps replacements per block
-    (smallest distances first); the default replaces every qualifying gate.
+    Scores, then decides. One `block_walk` fills the score table (see the
+    module docstring), comparing each block's reference (its first member,
+    or its medoid in "pairwise_medoid" mode) with the whole block in one
+    `block_comparator` call. A non-reference member is replaced when its
+    mean distance is within epsilon_q; `max_replace_per_group` (an int >= 1)
+    caps replacements per block, smallest (distance, slot) first, and the
+    default replaces every qualifying gate.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (expected one of {MODES})")
-    if max_replace_per_group is not None and max_replace_per_group < 1:
-        raise ValueError(
-            f"max_replace_per_group must be >= 1 when set, got {max_replace_per_group}"
-        )
-    groups = partition(circuit)
+    cap = max_replace_per_group
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1):
+        raise ValueError(f"max_replace_per_group must be an int >= 1 when set, got {cap!r}")
     members = circuit.members
     states = as_ensemble(ensemble, circuit.dim)
     if geo.dim != circuit.dim:
         raise ValueError(f"geometry dim {geo.dim} does not match circuit dim {circuit.dim}")
 
-    eps = tol.epsilon_q
-    cap = BLOCK_SIZE if max_replace_per_group is None else max_replace_per_group
     # every member compiled in one call, for the comparisons and the walk alike
     mats = rot_matrix(*np.moveaxis(members, -1, 0))
-    pruned_members = members.copy()
-    dq_values: dict[int, float] = {}
-    per_state_max: dict[int, float] = {}
-    replaced: list[int] = []
-    kept: list[int] = []
-    selection_comparisons = 0
+    ref = np.zeros(members.shape[:2], dtype=int)
+    mean = np.empty(members.shape[:3])
+    worst = np.empty(members.shape[:3])
 
-    def decide(qubit: int, layer: int, prefix: np.ndarray) -> None:
-        nonlocal selection_comparisons
-        block, gids = mats[qubit, layer], groups[layer * circuit.n_qubits + qubit]
+    def score(qubit: int, layer: int, prefix: np.ndarray) -> None:
+        block = mats[qubit, layer]
         compare = block_comparator(prefix, geo, [qubit])
         if mode == "pairwise_medoid":
-            ref, n_pairs = _medoid(block, compare)
-            selection_comparisons += n_pairs
-        else:
-            ref = 0
-        others = [s for s in range(BLOCK_SIZE) if s != ref]
-        rows = compare(block[ref], block[others])
-
-        candidates: list[tuple[float, int]] = []
-        for s, d, worst in zip(others, rows.mean(axis=1).tolist(), rows.max(axis=1).tolist()):
-            dq_values[gids[s]] = d
-            per_state_max[gids[s]] = worst
-            if d <= eps:
-                candidates.append((d, s))
-            else:
-                kept.append(gids[s])
-        candidates.sort()
-        for _, s in candidates[:cap]:
-            replaced.append(gids[s])
-            pruned_members[qubit, layer, s] = members[qubit, layer, ref]
-        kept.extend(gids[s] for _, s in candidates[cap:])
-        kept.append(gids[ref])
+            # each pair once, earlier slot first; the medoid minimizes the summed
+            # distance to the rest of the block, ties to the smallest slot
+            pair = np.zeros((BLOCK_SIZE, BLOCK_SIZE))
+            for a in range(BLOCK_SIZE - 1):
+                pair[a, a + 1 :] = compare(block[a], block[a + 1 :]).mean(axis=1)
+            ref[qubit, layer] = np.argmin((pair + pair.T).sum(axis=1))
+        # the reference's own row is an exact 0
+        rows = compare(block[ref[qubit, layer]], block)
+        mean[qubit, layer] = rows.mean(axis=1)
+        worst[qubit, layer] = rows.max(axis=1)
 
     # prefixes for later blocks always come from the original circuit
-    block_walk(block_products(mats), states, decide)
+    block_walk(block_products(mats), states, score)
 
-    L = len(replaced)
-    n_rot = circuit.n_rot
+    eps = tol.epsilon_q
+    ids = np.array(partition(circuit)).reshape(circuit.depth, circuit.n_qubits, BLOCK_SIZE).swapaxes(0, 1)
+    scored = np.arange(BLOCK_SIZE) != ref[..., None]
+    within = scored & (mean <= eps)
+    # rank candidates by (distance, slot): a stable sort keeps slot order on ties
+    rank = np.argsort(np.argsort(np.where(within, mean, np.inf), axis=-1, kind="stable"), axis=-1)
+    replace = within & (rank < (BLOCK_SIZE if cap is None else cap))
+    ref_members = np.take_along_axis(members, ref[:, :, None, None], axis=2)
+    pruned_members = np.where(replace[..., None], ref_members, members)
+
+    L = int(replace.sum())
     rhs_raw, rhs_clip = drift_rhs(L, eps, geo.M_q)
-    violations = sum(1 for gid in replaced if dq_values[gid] > eps)
     # merge_adjacent_duplicates(pruned.gates)[1]: equal adjacent members of a block
     removed = int(np.all(pruned_members[:, :, 1:] == pruned_members[:, :, :-1], axis=-1).sum())
+    dq_values = dict(sorted(zip(ids[scored].tolist(), mean[scored].tolist())))
 
     report = PruneReport(
-        kept=tuple(sorted(kept)),
-        replaced=tuple(sorted(replaced)),
+        kept=tuple(sorted(ids[~replace].tolist())),
+        replaced=tuple(sorted(ids[replace].tolist())),
         L=L,
-        replace_pct=100.0 * L / n_rot,
+        replace_pct=100.0 * L / circuit.n_rot,
         dq_values=dq_values,
-        dq_max_replaced=max((dq_values[g] for g in replaced), default=0.0),
-        dq_per_state_max_replaced=max((per_state_max[g] for g in replaced), default=0.0),
+        dq_max_replaced=float(mean[replace].max(initial=0.0)),
+        dq_per_state_max_replaced=float(worst[replace].max(initial=0.0)),
         epsilon_q=eps,
         M_q=geo.M_q,
         rhs_raw=rhs_raw,
         rhs_clip=rhs_clip,
         # one comparison with the reference per scored member
         comparisons=len(dq_values),
-        selection_comparisons=selection_comparisons,
-        violations=violations,
-        n_rot=n_rot,
+        selection_comparisons=ref.size * BLOCK_SIZE * (BLOCK_SIZE - 1) // 2 if mode == "pairwise_medoid" else 0,
+        violations=int((mean[replace] > eps).sum()),
+        n_rot=circuit.n_rot,
         mode=mode,
         merged_gate_count=len(_layout(circuit.n_qubits, circuit.depth)) - removed,
         merged_removed=removed,

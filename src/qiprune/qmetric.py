@@ -46,14 +46,21 @@ class Tolerance:
 
 
 def build_geometry(n_qubits: int, q: float) -> QGeometry:
-    """Hamming-weight diagonal geometry, normalized to M_q = 1."""
+    """Hamming-weight diagonal geometry, normalized to M_q = 1.
+
+    Raises ValueError when a weight under- or overflows, that is when q is so
+    far from 1 that q^n_qubits leaves the float range.
+    """
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
     if not 0.0 < q < math.inf:
         raise ValueError(f"q must be positive and finite, got {q}")
     weights = np.array([bin(i).count("1") for i in range(1 << n_qubits)])
-    g = q ** (weights - float(n_qubits))
-    g = g / g.max()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        g = q ** (weights - float(n_qubits))
+        g = g / g.max()
+    if not np.all(np.isfinite(g) & (g > 0.0)):
+        raise ValueError(f"q = {q} gives a zero or non-finite weight on {n_qubits} qubits")
     return QGeometry(q=q, g_diag=g, m_q=float(g.min()), M_q=float(g.max()))
 
 

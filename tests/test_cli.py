@@ -78,6 +78,7 @@ class TestRunConfig:
             ({"epsilon_rule": "nope"}, "epsilon rule"),
             ({"max_replace_per_group": -2}, "max_replace_per_group"),
             ({"max_replace_per_group": 0}, "max_replace_per_group"),
+            ({"max_replace_per_group": 2.5}, "max_replace_per_group"),
             ({"depth": 0}, "depth"),
             ({"M": 0}, "M must"),
             ({"seed": -1}, "seed must"),
@@ -88,7 +89,7 @@ class TestRunConfig:
             ({"max_train_samples": 0}, "max_train_samples must"),
         ],
         ids=[
-            "mode", "epsilon_rule", "cap_negative", "cap_zero", "depth", "M", "seed_negative",
+            "mode", "epsilon_rule", "cap_negative", "cap_zero", "cap_fractional", "depth", "M", "seed_negative",
             "train_epochs_negative", "vqe_iters_negative", "train_batch_zero", "train_batch_negative",
             "max_train_samples_zero",
         ],
@@ -140,8 +141,13 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--gamma", "5"], ["--beta", "-1"], ["--beta", "1e5"]],
-        ids=["lambda_negative", "beta_negative", "q_overflows"],
+        [
+            ["--gamma", "5"],
+            ["--beta", "-1"],
+            ["--beta", "1e5"],
+            ["--depth", "1", "--gamma", "1", "--alpha", "1", "--beta", "700", "--train-epochs", "0"],
+        ],
+        ids=["lambda_negative", "beta_negative", "q_overflows", "weights_underflow"],
     )
     def test_bad_deformation_is_usage_error_before_training(self, flags, no_training, capsys):
         assert main(["prune", "--task", "bas", *flags]) == 2
@@ -158,6 +164,11 @@ class TestRunConfig:
     def test_nonpositive_learning_rate_is_usage_error(self, flags, message, no_training, capsys):
         assert main(["prune", "--depth", "1", *flags]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_qubits", ["0", "11", "16"])
+    def test_out_of_range_n_qubits_is_usage_error_before_training(self, n_qubits, no_training, capsys):
+        assert main(["prune", "--task", "tfim", "--depth", "1", "--n-qubits", n_qubits]) == 2
+        assert f"n_qubits must be in 1..10, got {n_qubits}" in capsys.readouterr().err
 
     def test_hash_pinned(self):
         # every report records config_hash; it must not move when RunConfig code does

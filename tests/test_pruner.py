@@ -113,6 +113,8 @@ class TestPrune:
         tol = calibrate_epsilon(0.01, geo)
         _, report = prune(circ, ensemble(2, 6, 5), geo, tol, max_replace_per_group=3)
         assert report.replace_pct == 60.0
+        # every distance ties at 0, so the cap takes slots 1-3 of each block, never slot 4
+        assert report.replaced == tuple(gid for group in partition(circ) for gid in group[1:4])
 
     def test_zero_epsilon_keeps_everything_distinct(self):
         circ = build_ansatz(2, 2, sigma=0.05, seed=6)
@@ -175,13 +177,86 @@ class TestPrune:
         with pytest.raises(ValueError, match="mode"):
             prune(circ, ensemble(2, 3, 11), geo, calibrate_epsilon(0.01, geo), mode="boom")
 
-    @pytest.mark.parametrize("cap", [0, -2])
+    @pytest.mark.parametrize(
+        "cap",
+        [
+            0,
+            -2,
+            pytest.param(2.5, id="fractional"),
+            pytest.param(2.0, id="float"),
+            pytest.param(True, id="bool"),
+            pytest.param("2", id="str"),
+            pytest.param(np.float64(2.0), id="numpy_float"),
+            pytest.param(np.int64(0), id="numpy_int_zero"),
+        ],
+    )
     def test_cap_validation(self, cap):
         circ = build_ansatz(2, 1, sigma=0.0, seed=11)
         geo = build_geometry(2, 1.0)
         tol = calibrate_epsilon(0.01, geo)
         with pytest.raises(ValueError, match="max_replace_per_group"):
             prune(circ, ensemble(2, 3, 11), geo, tol, max_replace_per_group=cap)
+
+    def test_numpy_int_cap_accepted(self):
+        circ = build_ansatz(2, 1, sigma=0.0, seed=11)
+        geo = build_geometry(2, 1.0)
+        tol = calibrate_epsilon(0.01, geo)
+        _, report = prune(circ, ensemble(2, 3, 11), geo, tol, max_replace_per_group=np.int64(2))
+        assert report.L == 2 * 2
+
+    def test_decision_rule_on_random_circuits(self):
+        # per block: the reference is the one id without a distance; the first
+        # `cap` other members with d <= eps by (d, id) are replaced, the rest kept
+        rng = np.random.default_rng(40)
+        for trial in range(40):
+            n, depth = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            circ = build_ansatz(n, depth, sigma=float(rng.choice([0.0, 0.003, 0.02, 0.1])), seed=trial)
+            if trial % 3 == 0:
+                # equal members give equal distances, so the (d, id) order is exercised
+                members = circ.members.copy()
+                members[:, :, 3:] = members[:, :, 1:3]
+                circ = Circuit(members)
+            geo = build_geometry(n, float(rng.choice([1.0, math.exp(0.03)])))
+            tol = calibrate_epsilon(float(rng.choice([0.01, 0.05, 0.2])), geo)
+            mode = MODES[trial % 2]
+            cap = [None, 1, 2, 3, 4][trial % 5]
+            pruned, report = prune(circ, ensemble(n, 5, trial), geo, tol, mode=mode, max_replace_per_group=cap)
+            replaced, eps = [], tol.epsilon_q
+            for group in partition(circ):
+                (ref,) = [gid for gid in group if gid not in report.dq_values]
+                candidates = sorted((report.dq_values[gid], gid) for gid in group if gid != ref)
+                chosen = [gid for d, gid in candidates if d <= eps][: cap or len(group)]
+                replaced += chosen
+                for gid in chosen:
+                    assert pruned.gates[gid].angles == circ.gates[ref].angles
+            kept = {gid for group in partition(circ) for gid in group} - set(replaced)
+            assert report.replaced == tuple(sorted(replaced))
+            assert report.kept == tuple(sorted(kept))
+            assert all(pruned.gates[gid].angles == circ.gates[gid].angles for gid in kept)
+
+    def test_decisions_pinned_on_a_fixed_grid(self):
+        # a refactor of prune must not change which gates it replaces; every
+        # distance sits at least 1e-9 from epsilon, so rounding cannot flip one
+        import hashlib
+
+        from qiprune.cli import DEFAULT_DELTAS, DEFAULT_SIGMAS
+
+        geo = build_geometry(4, math.exp(0.03))
+        ens = ensemble(4, 8, 41)
+        decisions = []
+        for delta in DEFAULT_DELTAS:
+            tol = calibrate_epsilon(delta, geo)
+            for sigma in DEFAULT_SIGMAS:
+                circ = build_ansatz(4, 2, sigma=sigma, seed=41)
+                for mode in MODES:
+                    for cap in (None, 2):
+                        _, report = prune(circ, ens, geo, tol, mode=mode, max_replace_per_group=cap)
+                        margins = [abs(d - tol.epsilon_q) for d in report.dq_values.values()]
+                        assert min(margins) >= 1e-9
+                        decisions.append(report.replaced)
+        assert len({len(r) for r in decisions}) > 2
+        digest = hashlib.sha256(repr(decisions).encode()).hexdigest()[:16]
+        assert digest == "e54e4bbff623e459"
 
     def test_dimension_validation(self):
         circ = build_ansatz(2, 1, sigma=0.01, seed=12)

@@ -65,6 +65,11 @@ class TestBuildGeometry:
                 build_geometry(2, q)
         with pytest.raises(ValueError, match="qubit"):
             build_geometry(0, 1.0)
+        # q^(w - n) underflows to a zero weight, or overflows to a NaN one
+        with pytest.raises(ValueError, match="q = 1e\\+300 .* on 8 qubits"):
+            build_geometry(8, 1e300)
+        with pytest.raises(ValueError, match="q = 1e-300 .* on 4 qubits"):
+            build_geometry(4, 1e-300)
 
 
 class TestQInner:
