@@ -160,12 +160,16 @@ class RunConfig:
     def geometry(self) -> QGeometry:
         return self._geometry
 
-    def hash(self) -> str:
-        """Hash of the run semantics; environment paths are excluded."""
+    def _semantics(self) -> dict:
+        """Every field except the environment paths data_dir and out_dir."""
         doc = asdict(self)
         doc.pop("data_dir")
         doc.pop("out_dir")
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+        return doc
+
+    def hash(self) -> str:
+        """Hash of the run semantics; environment paths are excluded."""
+        return hashlib.sha256(json.dumps(self._semantics(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _field_kind(hint) -> tuple[type, bool]:
@@ -309,7 +313,7 @@ def write_rows_csv(path: Path, rows: list[dict]) -> None:
 def write_report_json(path: Path, result: dict) -> None:
     config: RunConfig = result["config"]
     doc = {
-        "config": asdict(config),
+        "config": config._semantics(),
         "config_hash": config.hash(),
         "lambda": config.lam,
         "q": config.q,

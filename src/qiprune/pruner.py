@@ -3,12 +3,14 @@
 Blocks are those of the ansatz layout in `circuit`, and a `Circuit` is its
 member-angle array, so `partition` only names each block's gate ids.
 `prune` scores, then decides. One `circuit.block_walk` over the original
-circuit's `block_products` fills a score table: per member, the
-ensemble-mean and per-state max d_q against its block's reference on the
-block's prefix ensemble (the states entering the block in the original
-circuit), each (n_qubits, depth, 5), and the reference slots (n_qubits,
-depth). The decision is array code over the table; it uses the mean, and
-the per-state max is reported so the state-wise bound can be certified.
+circuit's `block_products` stores each block's prefix ensemble (the states
+entering the block in the original circuit) as its `qmetric.reduced_matrices`,
+one (n_qubits, depth, M, 2, 2) array. Two `qmetric.reduced_distances` calls
+over that array then give the score table: the reference slots (n_qubits,
+depth) and, per member, the ensemble-mean and per-state max d_q against
+its block's reference, each (n_qubits, depth, 5). The decision is array
+code over the table; it uses the mean, and the per-state max is reported
+so the state-wise bound can be certified.
 Replacement is structural: a pruned member keeps its place but takes the
 reference's angles. `certify` runs both circuits with `circuit.run_fused`
 (one product per block, exact). The reported merged gate count joins only
@@ -38,7 +40,7 @@ from .circuit import (
     zyz_angles,
 )
 from .linalg import ATOL, as_ensemble, operator_norm
-from .qmetric import QGeometry, Tolerance, block_comparator, drift_rhs
+from .qmetric import QGeometry, Tolerance, drift_rhs, reduced_distances, reduced_matrices
 
 MODES = ("reference_only", "pairwise_medoid")
 
@@ -130,10 +132,11 @@ def prune(
 ) -> tuple[Circuit, PruneReport]:
     """One-shot redundancy pruning with structured replacement.
 
-    Scores, then decides. One `block_walk` fills the score table (see the
-    module docstring), comparing each block's reference (its first member,
-    or its medoid in "pairwise_medoid" mode) with the whole block in one
-    `block_comparator` call. A non-reference member is replaced when its
+    Validates the ensemble once, then scores and decides. One `block_walk`
+    stores each block's reduced matrices, and the score table (see the
+    module docstring) compares each block's reference (its first member,
+    or its medoid in "pairwise_medoid" mode) with the whole block, all
+    blocks in one array call. A non-reference member is replaced when its
     mean distance is within epsilon_q; `max_replace_per_group` (an int >= 1)
     caps replacements per block, smallest (distance, slot) first, and the
     default replaces every qualifying gate.
@@ -150,27 +153,25 @@ def prune(
 
     # every member compiled in one call, for the comparisons and the walk alike
     mats = rot_matrix(*np.moveaxis(members, -1, 0))
-    ref = np.zeros(members.shape[:2], dtype=int)
-    mean = np.empty(members.shape[:3])
-    worst = np.empty(members.shape[:3])
+    R = np.empty(members.shape[:2] + (len(states), 2, 2), dtype=complex)
 
-    def score(qubit: int, layer: int, prefix: np.ndarray) -> None:
-        block = mats[qubit, layer]
-        compare = block_comparator(prefix, geo, [qubit])
-        if mode == "pairwise_medoid":
-            # each pair once, earlier slot first; the medoid minimizes the summed
-            # distance to the rest of the block, ties to the smallest slot
-            pair = np.zeros((BLOCK_SIZE, BLOCK_SIZE))
-            for a in range(BLOCK_SIZE - 1):
-                pair[a, a + 1 :] = compare(block[a], block[a + 1 :]).mean(axis=1)
-            ref[qubit, layer] = np.argmin((pair + pair.T).sum(axis=1))
-        # the reference's own row is an exact 0
-        rows = compare(block[ref[qubit, layer]], block)
-        mean[qubit, layer] = rows.mean(axis=1)
-        worst[qubit, layer] = rows.max(axis=1)
+    def store(qubit: int, layer: int, prefix: np.ndarray) -> None:
+        R[qubit, layer] = reduced_matrices(prefix, geo, qubit)
 
     # prefixes for later blocks always come from the original circuit
-    block_walk(block_products(mats), states, score)
+    block_walk(block_products(mats), states, store)
+
+    ref = np.zeros(members.shape[:2], dtype=int)
+    if mode == "pairwise_medoid":
+        # each pair once, earlier slot first; the medoid minimizes the summed
+        # distance to the rest of the block, ties to the smallest slot
+        table = reduced_distances(R[:, :, None, None], mats[:, :, :, None], mats[:, :, None])
+        pair = np.triu(table.mean(axis=-1), 1)
+        ref = np.argmin((pair + pair.swapaxes(-1, -2)).sum(axis=-1), axis=-1)
+    # the reference's own row is an exact 0
+    rows = reduced_distances(R[:, :, None], np.take_along_axis(mats, ref[:, :, None, None, None], axis=2), mats)
+    mean = rows.mean(axis=-1)
+    worst = rows.max(axis=-1)
 
     eps = tol.epsilon_q
     ids = np.array(partition(circuit)).reshape(circuit.depth, circuit.n_qubits, BLOCK_SIZE).swapaxes(0, 1)

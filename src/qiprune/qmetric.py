@@ -8,6 +8,10 @@ entry M_q equals 1. q = 1 gives the identity exactly. The distance
 
 is a task-conditioned similarity measure, not a metric; the arccos argument
 is clamped to [0, 1] since the weighted overlap ratio can exceed 1 for q != 1.
+`d_q_per_state` computes it with two passes over the 2^n amplitudes and is
+the reference. For 2x2 gates on one wire, `reduced_matrices` reduces each
+state to a weighted 2x2 matrix once, and `reduced_distances` then compares
+any number of gate pairs at O(M) per pair.
 """
 
 from __future__ import annotations
@@ -108,45 +112,33 @@ def d_q_per_state(
     return np.arccos(ratio)
 
 
-def block_comparator(ensemble, geo: QGeometry, wires: list[int]):
-    """Per-state d_q terms for gates on `wires`, from one pass over the ensemble.
+def reduced_matrices(states: np.ndarray, geo: QGeometry, wire: int) -> np.ndarray:
+    """Each state's weighted reduced matrix on one wire, (M, 2, 2).
 
-    Builds, once, each state's weighted reduced matrix on the k wires,
-    R_ab = sum_r conj(psi_ar) g_ar psi_br (a, b index the 2^k basis states of
-    `wires`, wires[0] most significant; r runs over the other qubits), so that
-    <psi|U^dag V|psi>_q = sum_ab R_ab (U^dag V)_ab and ||psi||_q^2 = tr R.
-    Returns `terms(U, V)`, equal to d_q_per_state(U, V, ensemble, geo, wires)
-    up to rounding, at O(M 4^k) per call instead of two passes over all 2^n
-    amplitudes. `V` may also be a stack (s, 2^k, 2^k) of operators, each
-    compared with U, giving (s, M) contiguous rows from one product. Operator
-    arrays identical to U give exact zeros, as there.
+    R_ab = sum_r conj(psi_ar) g_ar psi_br, where a, b index the wire's two
+    basis states and r runs over the other qubits, so that
+    <psi|U^dag V|psi>_q = sum_ab R_ab (U^dag V)_ab and ||psi||_q^2 = tr R
+    for 2x2 gates U, V on `wire`. `states` must be a batch already checked
+    by `linalg.as_ensemble`; nothing is validated here.
     """
-    states = as_ensemble(ensemble, geo.dim)
-    n = n_qubits_of(states[0])
-    k = len(wires)
-    if len(set(wires)) != k or any(w < 0 or w >= n for w in wires):
-        raise ValueError(f"need distinct wires in range for {n} qubits, got {wires}")
-    m, d = states.shape[0], 1 << k
-    # `wires` first, in their order, then the other qubits in theirs
-    order = list(wires) + [q for q in range(n) if q not in wires]
-    psi = states.reshape((m,) + (2,) * n).transpose([0] + [q + 1 for q in order]).reshape(m, d, -1)
-    g = geo.g_diag.reshape((2,) * n).transpose(order).reshape(d, -1)
-    flat_t = (np.conj(g * psi) @ psi.transpose(0, 2, 1)).reshape(m, -1).T
-    norms = np.real(np.sum(flat_t[:: d + 1], axis=0))
-    shape = (d, d)
+    m = states.shape[0]
+    psi = states.reshape(m, 1 << wire, 2, -1).swapaxes(1, 2).reshape(m, 2, -1)
+    g = geo.g_diag.reshape(1 << wire, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    return np.conj(g * psi) @ psi.swapaxes(1, 2)
 
-    def terms(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=complex)
-        V = np.asarray(V, dtype=complex)
-        if U.shape != shape or V.shape[-2:] != shape or V.ndim not in (2, 3):
-            raise ValueError(f"operator shapes {U.shape}, {V.shape} do not match {k} wires")
-        stack = V.reshape((-1,) + shape)
-        num = np.abs((U.conj().T @ stack).reshape(len(stack), -1) @ flat_t)
-        out = np.arccos(np.clip(num / norms, 0.0, 1.0))
-        out[np.all(stack == U, axis=(1, 2))] = 0.0
-        return out if V.ndim == 3 else out[0]
 
-    return terms
+def reduced_distances(R: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Per-state d_q terms arccos(clip(|sum_ab R_ab (U^dag V)_ab| / tr R, 0, 1)).
+
+    R is (..., M, 2, 2) from `reduced_matrices`, U and V are (..., 2, 2);
+    the leading axes broadcast and the result is (..., M), equal to
+    d_q_per_state(U, V, states, geo, [wire]) up to rounding at O(M) per
+    pair. Identical U and V give exact zeros, as there.
+    """
+    W = np.swapaxes(U, -1, -2).conj() @ V
+    num = np.abs(R.reshape(R.shape[:-2] + (4,)) @ W.reshape(W.shape[:-2] + (4, 1)))[..., 0]
+    ratio = np.clip(num / np.real(R[..., 0, 0] + R[..., 1, 1]), 0.0, 1.0)
+    return np.where(np.all(U == V, axis=(-2, -1))[..., None], 0.0, np.arccos(ratio))
 
 
 def d_q(

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 import struct
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +459,45 @@ def test_task_context_and_grid_point_report_are_frozen():
     assert report.metric_name == "accuracy_pct" and report.seed == 0
     with pytest.raises(FrozenInstanceError):
         report.seed = 1
+
+
+def _benchmark_workloads():
+    # the benchmark's own fixture builder, imported as perfbench/tests does
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    return workloads
+
+
+def _mnist49_point(work, seed, delta, sigma):
+    workloads = _benchmark_workloads()
+    config = workloads.make_inputs(workloads.WORKLOADS["grid-mnist49"], seed, work)
+    return cli.run_grid_point(cli.prepare_task(config), delta, sigma)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        # L = 1: trace distance 0.0163 against 0.0100, per-state max d 0.0041 <= eps 0.005
+        pytest.param(4, marks=pytest.mark.xfail(
+            strict=True, reason="members are scored on the block's entry states, not at their own site")),
+        # L = 2: trace distance 0.0208 against 0.0200, per-state max d 0.0063 > eps 0.005
+        pytest.param(19, marks=pytest.mark.xfail(
+            strict=True, reason="decisions use the ensemble-mean d, the bound needs every per-state d")),
+    ],
+)
+def test_benchmark_mnist49_certificate_at_delta_sigma_001(tmp_path, seed):
+    assert _mnist49_point(tmp_path, seed, 0.01, 0.01)["certificate"].passed
+
+
+def test_report_bytes_do_not_depend_on_the_data_path(tmp_path):
+    paths = []
+    for where in ("a", "b"):
+        result = _mnist49_point(tmp_path / where, 0, 0.01, 0.001)
+        paths.append(tmp_path / where / "report.json")
+        cli.write_report_json(paths[-1], result)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    config = json.loads(paths[0].read_text())["config"]
+    assert "data_dir" not in config and "out_dir" not in config

@@ -88,3 +88,26 @@ class TestAsEnsemble:
             as_ensemble(np.zeros((2, 2, 4)), 4)
         with pytest.raises(ValueError, match="dimension"):
             as_ensemble(good_ensemble(), 8)
+
+
+@pytest.mark.parametrize("mode", ["reference_only", "pairwise_medoid"])
+def test_prune_validates_the_ensemble_once(monkeypatch, mode):
+    # prune checks the states at entry; its walk applies only unitaries, so
+    # no block (24 here) may check them again
+    import qiprune.linalg
+    import qiprune.pruner
+    import qiprune.qmetric
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return as_ensemble(*args, **kwargs)
+
+    for module in (qiprune.linalg, qiprune.pruner, qiprune.qmetric):
+        monkeypatch.setattr(module, "as_ensemble", counted)
+    rng = np.random.default_rng(1)
+    ens = np.array([random_state(4, rng) for _ in range(6)])
+    geo = build_geometry(4, 1.03)
+    prune(build_ansatz(4, 6, sigma=0.01, seed=0), ens, geo, calibrate_epsilon(0.01, geo), mode=mode)
+    assert len(calls) == 1

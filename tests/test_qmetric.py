@@ -7,13 +7,14 @@ import scipy.linalg
 from qiprune.linalg import haar_unitary, pure_trace_distance, random_state
 from qiprune.qmetric import (
     Tolerance,
-    block_comparator,
     build_geometry,
     calibrate_epsilon,
     d_q,
     d_q_per_state,
     drift_rhs,
     q_inner,
+    reduced_distances,
+    reduced_matrices,
     statewise_deviation_bound,
 )
 
@@ -130,65 +131,56 @@ class TestDq:
             embedded = d_q(embed_kron(u, [wire], 3), embed_kron(v, [wire], 3), ens, geo)
             assert direct == pytest.approx(embedded, abs=1e-12)
 
-    @pytest.mark.parametrize("q", [1.0, 1.03, 1.5])
+    @pytest.mark.parametrize("q", [1.0, 1.03, 1.5, pytest.param(math.exp(0.3), id="e^0.3")])
     def test_block_comparator_matches_apply_reference(self, q):
-        # every wire and ordered wire pair for n = 1..6, against the two-pass
-        # d_q_per_state; near pairs (V = U exp(i t H)) reach d down to ~1e-4
+        # reduced_matrices + reduced_distances on every wire for n = 1..6,
+        # against the two-pass d_q_per_state; near pairs (V = U exp(i t H))
+        # reach d down to ~1e-4
         rng = np.random.default_rng(int(100 * q))
         for n in range(1, 7):
             geo = build_geometry(n, q)
             ens = np.array([random_state(n, rng) for _ in range(5)])
-            wire_sets = [[w] for w in range(n)] + [[a, b] for a in range(n) for b in range(n) if a != b]
-            for wires in wire_sets:
-                dim = 1 << len(wires)
-                compare = block_comparator(ens, geo, wires)
-                u = haar_unitary(dim, rng)
-                h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for wire in range(n):
+                R = reduced_matrices(ens, geo, wire)
+                assert R.shape == (len(ens), 2, 2)
+                u = haar_unitary(2, rng)
+                h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 h = (h + h.conj().T) / 2.0
                 for t in (1e-4, 1e-2, 1.0):
                     v = u @ scipy.linalg.expm(1j * t * h)
-                    ref = d_q_per_state(u, v, ens, geo, wires=wires)
-                    got = compare(u, v)
+                    ref = d_q_per_state(u, v, ens, geo, wires=[wire])
+                    got = reduced_distances(R, u, v)
                     np.testing.assert_allclose(np.cos(got), np.cos(ref), rtol=0, atol=1e-13)
                     far = ref >= 1e-3
                     np.testing.assert_allclose(got[far], ref[far], rtol=0, atol=1e-12)
-                np.testing.assert_array_equal(compare(u, u.copy()), np.zeros(len(ens)))
+                np.testing.assert_array_equal(reduced_distances(R, u, u.copy()), np.zeros(len(ens)))
 
     @pytest.mark.parametrize("wires", [[1], [2, 0]])
     def test_block_comparator_stack_matches_member_calls(self, wires):
+        # one block of five gates per wire, R stacked over `wires` as prune
+        # stacks it over qubits; the 5x5 pair tables come from one broadcast
+        # call and must match per-pair calls
         rng = np.random.default_rng(24)
         geo = build_geometry(3, 1.2)
         ens = np.array([random_state(3, rng) for _ in range(7)])
-        compare = block_comparator(ens, geo, wires)
-        dim = 1 << len(wires)
-        u = haar_unitary(dim, rng)
-        stack = np.array([haar_unitary(dim, rng) for _ in range(4)] + [u.copy()])
-        rows = compare(u, stack)
-        assert rows.shape == (5, len(ens)) and rows.flags.c_contiguous
-        for row, v in zip(rows, stack):
-            np.testing.assert_allclose(row, compare(u, v), rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(rows[4], np.zeros(len(ens)))
-        np.testing.assert_array_equal(compare(u, np.array([u, u])), np.zeros((2, len(ens))))
-
-    def test_block_comparator_rejects_misshapen_stacks(self):
-        geo = build_geometry(2, 1.0)
-        compare = block_comparator([basis(2, 0)], geo, [0])
-        eye = np.eye(2, dtype=complex)
-        for bad in (np.zeros((3, 4, 4)), np.zeros((2, 2, 2, 2)), np.zeros((3, 2, 3)), np.zeros(2)):
-            with pytest.raises(ValueError, match="do not match"):
-                compare(eye, bad)
-
-    def test_block_comparator_errors(self):
-        geo = build_geometry(2, 1.0)
-        ens = [basis(2, 0)]
-        with pytest.raises(ValueError, match="wires"):
-            block_comparator(ens, geo, [2])
-        with pytest.raises(ValueError, match="wires"):
-            block_comparator(ens, geo, [0, 0])
-        with pytest.raises(ValueError, match="do not match"):
-            block_comparator(ens, geo, [0])(np.eye(4), np.eye(4))
-        with pytest.raises(ValueError, match="unit-norm"):
-            block_comparator([2.0 * basis(2, 0)], geo, [0])
+        R = np.array([reduced_matrices(ens, geo, w) for w in wires])
+        blocks = np.array([[haar_unitary(2, rng) for _ in range(4)] for _ in wires])
+        blocks = np.concatenate([blocks, blocks[:, 1:2].copy()], axis=1)
+        table = reduced_distances(R[:, None, None], blocks[:, :, None], blocks[:, None])
+        assert table.shape == (len(wires), 5, 5, len(ens))
+        for i in range(len(wires)):
+            for a in range(5):
+                for b in range(5):
+                    member = reduced_distances(R[i], blocks[i, a], blocks[i, b])
+                    np.testing.assert_allclose(table[i, a, b], member, rtol=0, atol=1e-15)
+            # identical gates give exact zeros: the diagonal and the duplicated pair
+            for a, b in [(j, j) for j in range(5)] + [(1, 4), (4, 1)]:
+                np.testing.assert_array_equal(table[i, a, b], np.zeros(len(ens)))
+            assert np.all(table[i, 0, 1:4] > 0.0)
+        # reference rows, one reference slot per wire, as prune scores them
+        ref = np.arange(len(wires)) % 5
+        rows = reduced_distances(R[:, None], blocks[np.arange(len(wires)), ref][:, None], blocks)
+        np.testing.assert_allclose(rows, table[np.arange(len(wires)), ref], rtol=0, atol=1e-15)
 
     def test_clamp_keeps_arccos_total_for_deformed_q(self):
         rng = np.random.default_rng(23)
