@@ -51,8 +51,8 @@ for delta in (0.01, 0.02):
         tol = calibrate_epsilon(delta, geo, rule="half_delta_rule")
         pruned, report = prune(baseline, ensemble.states, geo, tol)
         cert = certify(report, baseline, pruned, ensemble.states, h_norm)
-        e_b = vqe_energy(baseline, spec, normalized=True)
-        e_p = vqe_energy(pruned, spec, normalized=True)
+        e_b = vqe_energy(baseline, h_norm)
+        e_p = vqe_energy(pruned, h_norm)
         ok = abs(e_b - e_p) <= report.rhs_raw + 1e-9 and cert.passed
         print(f"{delta:>6} {sigma:>6} {report.replace_pct:>9.2f} "
               f"{report.rhs_raw:>7.3f}->{report.rhs_clip:<5.3f} "

@@ -184,11 +184,10 @@ FIELD_KINDS = {name: _field_kind(hint) for name, hint in get_type_hints(RunConfi
 
 @dataclass(frozen=True)
 class TaskContext:
-    """Trained baseline and task ensemble shared across a (delta, sigma) grid."""
+    """Trained baseline, task ensemble and observable (Z0's diagonal, or H / ||H||_op)."""
 
     config: RunConfig
     data: EncodedDataset | None
-    tfim: object | None
     trained_centers: np.ndarray
     ensemble_states: np.ndarray
     observable: np.ndarray
@@ -238,7 +237,6 @@ def prepare_task(config: RunConfig) -> TaskContext:
         return TaskContext(
             config=config,
             data=data,
-            tfim=None,
             trained_centers=block_centers(trained),
             ensemble_states=ensemble.states,
             observable=z0_observable(n),
@@ -250,7 +248,6 @@ def prepare_task(config: RunConfig) -> TaskContext:
     return TaskContext(
         config=config,
         data=None,
-        tfim=spec,
         trained_centers=block_centers(vqe.trained),
         ensemble_states=ensemble.states,
         observable=spec.hamiltonian / operator_norm(spec.hamiltonian),
@@ -278,8 +275,8 @@ def run_grid_point(ctx: TaskContext, delta: float, sigma: float) -> dict:
         m_base = 100.0 * evaluate_classifier(baseline, ctx.data)
         m_pruned = 100.0 * evaluate_classifier(pruned, ctx.data)
     else:
-        m_base = vqe_energy(baseline, ctx.tfim, normalized=True)
-        m_pruned = vqe_energy(pruned, ctx.tfim, normalized=True)
+        m_base = vqe_energy(baseline, ctx.observable)
+        m_pruned = vqe_energy(pruned, ctx.observable)
     report = dc_replace(
         report,
         metric_name=ctx.metric_name,

@@ -3,7 +3,9 @@
 Bit convention used everywhere in this package: qubit 0 is the
 most-significant bit of the basis-state index, so |10> on two qubits is
 basis index 2. A state is a complex ndarray of length 2**n (unit 2-norm),
-a gate is a dense unitary ndarray of size 2^k x 2^k.
+a gate is a dense unitary ndarray of size 2^k x 2^k. An observable is a
+Hermitian 2^n x 2^n matrix or, when diagonal, its real 1-D diagonal;
+`expectation` is the package's one <O> formula.
 """
 
 from __future__ import annotations
@@ -168,18 +170,35 @@ def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
     return 2.0 * math.sqrt(max(0.0, 1.0 - ov * ov))
 
 
-def operator_norm(op: np.ndarray) -> float:
-    """Largest singular value (spectral norm) of a square matrix.
+def apply_observable(states: np.ndarray, observable: np.ndarray) -> np.ndarray:
+    """O|psi> of every state (the last axis), for O a square matrix or its 1-D diagonal.
 
-    A diagonal matrix (every nonzero entry on the diagonal) takes max |diag|,
-    which is exact and costs one pass; any other matrix takes an SVD.
+    ValueError names both lengths unless O has the states' length (a length-1
+    diagonal would broadcast otherwise)."""
+    observable = np.asarray(observable)
+    dim = states.shape[-1]
+    if observable.shape not in ((dim,), (dim, dim)):
+        raise ValueError(f"observable shape {observable.shape} does not match state length {dim}")
+    if observable.ndim == 1:
+        return observable * states
+    return states @ observable.T
+
+
+def expectation(states: np.ndarray, observable: np.ndarray) -> np.ndarray:
+    """Re <psi|O|psi> of every state in `states`, with O as in `apply_observable`."""
+    return np.real(np.sum(np.conj(states) * apply_observable(states, observable), axis=-1))
+
+
+def operator_norm(op: np.ndarray) -> float:
+    """Largest singular value (spectral norm) of an observable.
+
+    A 1-D diagonal takes max |entry|, which is exact; a square matrix takes an SVD.
     """
     op = np.asarray(op, dtype=complex)
+    if op.ndim == 1:
+        return float(np.max(np.abs(op), initial=0.0))
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"operator_norm needs a square matrix, got {op.shape}")
-    diag = np.diagonal(op)
-    if np.count_nonzero(op) == np.count_nonzero(diag):
-        return float(np.max(np.abs(diag), initial=0.0))
+        raise ValueError(f"operator_norm needs a square matrix or a 1-D diagonal, got {op.shape}")
     return float(np.linalg.norm(op, 2))
 
 

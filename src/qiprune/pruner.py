@@ -39,7 +39,7 @@ from .circuit import (
     run_fused,
     zyz_angles,
 )
-from .linalg import ATOL, as_ensemble, operator_norm
+from .linalg import ATOL, as_ensemble, expectation, operator_norm
 from .qmetric import QGeometry, Tolerance, drift_rhs, reduced_distances, reduced_matrices
 
 MODES = ("reference_only", "pairwise_medoid")
@@ -238,8 +238,8 @@ def merge_adjacent_duplicates(gates) -> tuple[tuple[Gate, ...], int]:
 
 def _checked_observable(observable, dim: int) -> np.ndarray:
     observable = np.asarray(observable)
-    if observable.shape != (dim, dim):
-        raise ValueError(f"observable shape {observable.shape} is not ({dim}, {dim})")
+    if observable.shape not in ((dim,), (dim, dim)):
+        raise ValueError(f"observable shape {observable.shape} is neither ({dim},) nor ({dim}, {dim})")
     if not np.all(np.isfinite(observable)):
         raise ValueError("observable has non-finite entries")
     adjoint = observable.conj().T
@@ -267,8 +267,8 @@ def certify(
     of the q used for the pruning decision. Both circuits run with
     `run_fused` (one product matrix per block), which is exact, so the
     certificate describes the circuits as given. Raises ValueError unless
-    `observable` is a finite Hermitian (within ATOL) matrix of the
-    circuit's dimension.
+    `observable` is a finite Hermitian (within ATOL) matrix of the circuit's
+    dimension, or the real (within ATOL) diagonal of one as a 1-D array.
     """
     if circuit.members.shape != pruned.members.shape:
         raise ValueError("original and pruned circuits do not match the report")
@@ -282,9 +282,7 @@ def certify(
     tds = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))
     tds[np.all(out_a == out_b, axis=1)] = 0.0
     tds = tuple(float(x) for x in tds)
-    ev_a = np.real(np.sum(np.conj(out_a) * (out_a @ observable.T), axis=1))
-    ev_b = np.real(np.sum(np.conj(out_b) * (out_b @ observable.T), axis=1))
-    drifts = tuple(float(x) for x in np.abs(ev_a - ev_b))
+    drifts = tuple(float(x) for x in np.abs(expectation(out_a, observable) - expectation(out_b, observable)))
 
     op = operator_norm(observable)
     trace_bound = min(2.0, report.rhs_raw)

@@ -59,7 +59,7 @@ def build_geometry(n_qubits: int, q: float) -> QGeometry:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
     if not 0.0 < q < math.inf:
         raise ValueError(f"q must be positive and finite, got {q}")
-    weights = np.array([bin(i).count("1") for i in range(1 << n_qubits)])
+    weights = ((np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         g = q ** (weights - float(n_qubits))
         g = g / g.max()
@@ -167,11 +167,11 @@ def calibrate_epsilon(delta: float, geo: QGeometry, rule: str = "half_delta_rule
     return Tolerance(delta=delta, epsilon_q=eps, rule=rule)
 
 
-def drift_rhs(L: int, epsilon_q: float, M_q: float = 1.0, op_norm: float = 1.0) -> tuple[float, float]:
-    """Analytic drift bound op_norm * (2L/M_q) sin(eps) and its clip min(1, .)."""
+def drift_rhs(L: int, epsilon_q: float, M_q: float = 1.0) -> tuple[float, float]:
+    """Analytic drift bound (2L/M_q) sin(eps) and its clip min(1, .); certify scales it by ||O||_op."""
     if L < 0:
         raise ValueError(f"replaced-location count must be nonnegative, got {L}")
-    raw = op_norm * (2.0 * L / M_q) * math.sin(epsilon_q)
+    raw = (2.0 * L / M_q) * math.sin(epsilon_q)
     return raw, min(1.0, raw)
 
 

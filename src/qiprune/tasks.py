@@ -1,9 +1,9 @@
 """Benchmark tasks: amplitude-encoded toy classification and the TFIM VQE.
 
-Classification margins are <Z> on qubit 0; a sample is predicted +1 when the
-margin is >= 0. Training optimizes the per-block center angles of the ansatz
-(all five block members share the center during training, i.e. sigma = 0)
-with plain gradient descent; gradients come from one adjoint sweep over one
+Classification margins are <Z0> (`linalg.expectation` of `z0_observable`, its
++-1 diagonal); a sample is predicted +1 when the margin is >= 0. Training
+optimizes the per-block center angles of the ansatz (all five block members
+share the center during training, i.e. sigma = 0) with plain gradient descent; gradients come from one adjoint sweep over one
 product matrix per block (a forward `circuit.block_walk`, then a reverse one
 that un-applies each block and CNOT from psi and lambda stacked together),
 5 kernel calls per block and 2 per CNOT. Output-only passes (`margins`,
@@ -29,7 +29,7 @@ from .circuit import (
     rot_matrix,
     run_fused,
 )
-from .linalg import apply_matrix, as_ensemble, n_qubits_of, operator_norm
+from .linalg import apply_matrix, apply_observable, as_ensemble, expectation
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -226,21 +226,12 @@ def dataset_to_json(data: EncodedDataset) -> str:
     )
 
 
-def z0_diagonal(n_qubits: int) -> np.ndarray:
-    """Diagonal of Z on qubit 0 (the most-significant bit)."""
+def z0_observable(n_qubits: int) -> np.ndarray:
+    """Z on qubit 0 (the most-significant bit) as its +-1 diagonal."""
     dim = 1 << n_qubits
     z = np.ones(dim)
     z[dim // 2 :] = -1.0
     return z
-
-
-def z0_observable(n_qubits: int) -> np.ndarray:
-    return np.diag(z0_diagonal(n_qubits)).astype(complex)
-
-
-def z0_expectation(states: np.ndarray) -> np.ndarray:
-    """<Z0> of each state in a batch (the last axis is the state)."""
-    return np.sum(z0_diagonal(n_qubits_of(states)) * np.abs(states) ** 2, axis=-1)
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -252,7 +243,7 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 def margins(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     """<Z0> per sample for a batch of input states, one product per block (exact)."""
-    return z0_expectation(run_fused(circuit, states))
+    return expectation(run_fused(circuit, states), z0_observable(circuit.n_qubits))
 
 
 def evaluate_classifier(circuit: Circuit, data: EncodedDataset) -> float:
@@ -281,12 +272,12 @@ def _shared_members(centers: np.ndarray) -> np.ndarray:
     return np.broadcast_to(centers[:, :, None, :], centers.shape[:2] + (BLOCK_SIZE, 3))
 
 
-def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observe):
+def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observable: np.ndarray):
     """Per-sample expectations <O> and their gradients with respect to the block centers.
 
     `members` holds the member angles in `build_ansatz`'s layout, shape
-    (n_qubits, depth, BLOCK_SIZE, 3); `observe` applies the observable O to a
-    batch of states. Adjoint sweep (Jones & Gacon, arXiv:2009.02823) on one
+    (n_qubits, depth, BLOCK_SIZE, 3); `observable` is O in either
+    `linalg.apply_observable` form. Adjoint sweep (Jones & Gacon, arXiv:2009.02823) on one
     product matrix B = R_4 ... R_0 per block: `block_walk` applies each B and
     CNOT ring forward, then walks psi and lambda = O psi back as one stack
     with every B^dag (a CNOT is its own inverse). Entering a block on the way
@@ -307,8 +298,8 @@ def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observe):
         dprod = mats[:, :, s] @ dprod + derivs[:, :, :, s] @ prod
         prod = mats[:, :, s] @ prod
     final = block_walk(prod, states)
-    lam = observe(final)
-    values = np.real(np.sum(np.conj(final) * lam, axis=-1))
+    values = expectation(final, observable)
+    lam = apply_observable(final, observable)
     grads = np.zeros((n, depth, 3) + states.shape[:-1])
     inverse = np.conj(np.swapaxes(prod, -1, -2))
     tangents = dprod @ inverse
@@ -358,14 +349,14 @@ def train_classifier(
         idx = np.sort(rng.choice(idx, size=max_train_samples, replace=False))
     states = data.states[idx]
     labels = data.labels[idx].astype(float)
-    zdiag = z0_diagonal(n)
+    z0 = z0_observable(n)
     bs = idx.size if batch_size is None else batch_size
     for _ in range(epochs):
         order = rng.permutation(idx.size)
         for start in range(0, idx.size, bs):
             sel = order[start : start + bs]
             m, grads, _ = _expectations_and_grads(
-                _shared_members(centers), states[sel], lambda phi: zdiag * phi
+                _shared_members(centers), states[sel], z0
             )
             if not np.all(np.isfinite(m)):
                 raise RuntimeError("training diverged: non-finite margins")
@@ -433,9 +424,6 @@ def run_vqe(
         mats = rot_matrix(*np.moveaxis(_shared_members(c), -1, 0))
         return block_walk(block_products(mats), state0)
 
-    def energy_of(out: np.ndarray) -> float:
-        return float(np.real(np.vdot(out, ham @ out)))
-
     snap_iters = set(
         int(t) for t in np.linspace(0, max(iters - 1, 0), num=min(snapshots, max(iters, 1))).round()
     )
@@ -443,7 +431,7 @@ def run_vqe(
     snaps: list[np.ndarray] = []
     for t in range(iters):
         e, grads, final = _expectations_and_grads(
-            _shared_members(centers), state0[None], lambda phi: phi @ ham.T
+            _shared_members(centers), state0[None], ham
         )
         if not np.isfinite(e[0]):
             raise RuntimeError("VQE diverged: non-finite energy")
@@ -454,26 +442,22 @@ def run_vqe(
         step = lr
         for _ in range(max_backtracks + 1):
             trial = centers - step * direction
-            if energy_of(output_at(trial)) <= energies[-1] + 1e-12:
+            if expectation(output_at(trial), ham) <= energies[-1] + 1e-12:
                 centers = trial
                 break
             step *= 0.5
     out = output_at(centers)
-    energies.append(energy_of(out))
+    energies.append(float(expectation(out, ham)))
     if not snaps:
         snaps.append(out)
     trained = Circuit(_shared_members(centers))
     return VqeResult(energies=tuple(energies), snapshots=np.array(snaps), trained=trained)
 
 
-def vqe_energy(circuit: Circuit, spec: TfimSpec, normalized: bool = False) -> float:
-    """<H> of the circuit output on |0...0>, run with one product per block
-    (exact); optionally divided by ||H||_op."""
-    out = run_fused(circuit, zero_state(circuit.n_qubits))
-    e = float(np.real(np.vdot(out, spec.hamiltonian @ out)))
-    if normalized:
-        e /= operator_norm(spec.hamiltonian)
-    return e
+def vqe_energy(circuit: Circuit, hamiltonian: np.ndarray) -> float:
+    """<H> of the circuit output on |0...0>, one product per block (exact), for H
+    in either `linalg.apply_observable` form (H / ||H||_op gives the normalized energy)."""
+    return float(expectation(run_fused(circuit, zero_state(circuit.n_qubits)), hamiltonian))
 
 
 def build_ensemble(source, M: int = 50, seed: int = 0) -> TaskEnsemble:

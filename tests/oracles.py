@@ -58,6 +58,14 @@ def cnot_ring_bits(bits: list[int]) -> list[int]:
     return out
 
 
+def z0_expectation(states: np.ndarray) -> np.ndarray:
+    """<Z0> of each state (last axis) as a local formula: the probability of
+    qubit 0 (the most-significant bit) reading 0 minus that of it reading 1."""
+    probs = np.abs(states) ** 2
+    half = probs.shape[-1] // 2
+    return probs[..., :half].sum(axis=-1) - probs[..., half:].sum(axis=-1)
+
+
 def checkpointed_expectations_and_grads(circuit, states, expect_fn):
     """Layer-checkpointed parameter-shift gradients, the reference for
     `tasks._expectations_and_grads`.

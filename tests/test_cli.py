@@ -461,6 +461,32 @@ def test_task_context_and_grid_point_report_are_frozen():
         report.seed = 1
 
 
+@pytest.mark.parametrize(
+    "task, overrides, form",
+    [("bas", {"train_epochs": 0}, (16,)), ("tfim", {"vqe_iters": 2}, (16, 16))],
+)
+def test_grid_point_norms_the_prepared_observable_once(monkeypatch, task, overrides, form):
+    # prepare_task fixes the task observable (the Z0 diagonal, or H / ||H||_op);
+    # a grid point norms it once, in certify, and the VQE metric is its energy
+    from qiprune.linalg import operator_norm as norm
+
+    ctx = cli.prepare_task(RunConfig(task=task, depth=1, M=4, **overrides))
+    assert ctx.observable.shape == form
+    seen = []
+
+    def counted(op):
+        seen.append(np.shape(op))
+        return norm(op)
+
+    # every package module that binds the norm, as perfbench's tracer finds them
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qiprune" and getattr(module, "operator_norm", None) is norm:
+            monkeypatch.setattr(module, "operator_norm", counted)
+    result = cli.run_grid_point(ctx, 0.02, 0.003)
+    assert seen == [form]
+    assert result["certificate"].op_norm == pytest.approx(1.0, abs=1e-12)
+
+
 def _benchmark_workloads():
     # the benchmark's own fixture builder, imported as perfbench/tests does
     bench = str(Path(__file__).resolve().parent.parent / "perfbench")

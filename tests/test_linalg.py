@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qiprune.linalg import (
     apply_matrix,
+    apply_observable,
+    expectation,
     haar_unitary,
     n_qubits_of,
     operator_norm,
@@ -204,7 +207,9 @@ class TestOperatorNorm:
             assert operator_norm(u) == pytest.approx(1.0, abs=1e-9)
 
     def test_complex_diagonal_is_exact(self):
-        assert operator_norm(np.diag([3j, -1.0, 0.5])) == 3.0
+        # the 1-D form of diag(3j, -1, 0.5) takes max |entry|, with no SVD
+        assert operator_norm(np.array([3j, -1.0, 0.5])) == 3.0
+        assert operator_norm(np.zeros(0)) == 0.0
 
     def test_off_diagonal_entry_takes_the_svd(self):
         op = np.diag([3j, -1.0, 0.5])
@@ -219,6 +224,40 @@ class TestOperatorNorm:
     def test_shape_error(self):
         with pytest.raises(ValueError, match="square"):
             operator_norm(np.zeros((2, 3)))
+
+
+class TestExpectation:
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 5)], ids=["single", "batch", "stacked"])
+    @pytest.mark.parametrize("form", ["diagonal", "matrix"])
+    def test_matches_einsum_reference(self, lead, form):
+        rng = np.random.default_rng(len(lead))
+        states = rng.standard_normal(lead + (8,)) + 1j * rng.standard_normal(lead + (8,))
+        if form == "diagonal":
+            observable = rng.standard_normal(8)
+            dense = np.diag(observable)
+        else:
+            h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            observable = dense = (h + h.conj().T) / 2.0
+        applied = np.einsum("ij,...j->...i", dense, states)
+        want = np.einsum("...i,ij,...j->...", np.conj(states), dense, states).real
+        got = apply_observable(states, observable)
+        assert got.shape == states.shape
+        np.testing.assert_allclose(got, applied, rtol=0, atol=1e-12)
+        values = expectation(states, observable)
+        assert np.shape(values) == lead
+        np.testing.assert_allclose(values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "observable",
+        [np.ones(1), np.ones(4), np.eye(4), np.ones((8, 4)), np.ones((8, 8, 8))],
+        ids=["length_1", "short_diagonal", "small_matrix", "not_square", "3d"],
+    )
+    def test_wrong_shape_rejected_naming_both_lengths(self, observable):
+        # a length-1 diagonal would broadcast over any state without the check
+        states = np.ones((3, 8), dtype=complex) / math.sqrt(8)
+        shape = re.escape(str(observable.shape))
+        with pytest.raises(ValueError, match=f"shape {shape} does not match state length 8"):
+            expectation(states, observable)
 
 
 def test_unitarity_deviation_flags_non_unitary():

@@ -6,7 +6,7 @@ import pytest
 from oracles import circuit_unitary, per_member_dq_values
 
 from qiprune.circuit import ROT, Circuit, apply_gate_sequence, build_ansatz, compile_gate, run
-from qiprune.linalg import pure_trace_distance, random_state
+from qiprune.linalg import haar_unitary, pure_trace_distance, random_state
 from qiprune.pruner import (
     MODES,
     certify,
@@ -470,7 +470,11 @@ class TestCertify:
             (np.full((4, 4), np.nan), "non-finite"),
             (np.eye(3), "shape"),
             (np.diag([1.0, np.inf, -1.0, -1.0]), "non-finite"),
-            (z0_observable(2) + 1e-6 * np.eye(4, k=1), "Hermitian"),
+            (np.diag(z0_observable(2)) + 1e-6 * np.eye(4, k=1), "Hermitian"),
+            (z0_observable(2) + 1e-6j, "Hermitian"),
+            (np.array([1.0, np.nan, -1.0, -1.0]), "non-finite"),
+            (z0_observable(3), "shape"),
+            (np.ones(1), "shape"),
         ],
     )
     def test_bad_observable_rejected(self, observable, message):
@@ -480,6 +484,40 @@ class TestCertify:
         pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.01, geo))
         with pytest.raises(ValueError, match=message):
             certify(report, circ, pruned, ens, observable)
+
+    def test_diagonal_and_its_matrix_certify_alike(self):
+        n = 3
+        circ = build_ansatz(n, 2, sigma=0.02, seed=26)
+        geo = build_geometry(n, 1.0)
+        ens = ensemble(n, 6, 26)
+        pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.05, geo))
+        assert report.L > 0
+        v = np.random.default_rng(26).standard_normal(1 << n)
+        by_diagonal = certify(report, circ, pruned, ens, v)
+        by_matrix = certify(report, circ, pruned, ens, np.diag(v))
+        assert max(by_diagonal.obs_drifts) > 0.0
+        for field in ("trace_distances", "obs_drifts"):
+            np.testing.assert_allclose(getattr(by_diagonal, field), getattr(by_matrix, field), rtol=0, atol=1e-12)
+        assert by_diagonal.op_norm == pytest.approx(by_matrix.op_norm, rel=0, abs=1e-12)
+        assert by_diagonal.op_norm == float(np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("form", ["matrix", "diagonal"])
+    def test_observable_bound_scales_with_the_norm(self, form):
+        # the analytic observable bound is ||O||_op times the report's raw bound
+        n = 2
+        circ = build_ansatz(n, 2, sigma=0.01, seed=27)
+        geo = build_geometry(n, 1.0)
+        ens = ensemble(n, 5, 27)
+        pruned, report = prune(circ, ens, geo, calibrate_epsilon(0.02, geo))
+        assert report.rhs_raw > 0.0
+        if form == "matrix":
+            u = haar_unitary(4, np.random.default_rng(27))
+            observable = u @ np.diag([3.0, -2.0, 1.0, 0.5]) @ u.conj().T
+        else:
+            observable = np.array([0.5, -3.0, 1.0, 2.0])
+        cert = certify(report, circ, pruned, ens, observable)
+        assert cert.op_norm == pytest.approx(3.0, rel=1e-12)
+        assert cert.obs_bound == cert.op_norm * report.rhs_raw
 
     def test_mismatched_circuits_rejected(self):
         circ = build_ansatz(2, 1, sigma=0.01, seed=20)

@@ -54,6 +54,14 @@ class TestBuildGeometry:
             w = sum((i >> k) & 1 for k in range(4))
             assert geo.g_diag[i] == pytest.approx(1.3 ** (w - 4), rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_weights_bitwise_equal_to_bin_count(self, n):
+        # the Hamming weights come from array code; they must equal bin(i).count("1")
+        weights = np.array([bin(i).count("1") for i in range(1 << n)])
+        for q in (0.7, math.exp(0.03), 2.5):
+            want = q ** (weights - float(n))
+            np.testing.assert_array_equal(build_geometry(n, q).g_diag, want / want.max())
+
     def test_bounds_hold(self):
         geo = build_geometry(3, 2.5)
         assert np.all(geo.g_diag >= geo.m_q) and np.all(geo.g_diag <= geo.M_q)
@@ -246,11 +254,6 @@ class TestDriftRhs:
 
     def test_nothing_replaced(self):
         assert drift_rhs(0, 0.005) == (0.0, 0.0)
-
-    def test_op_norm_scaling(self):
-        raw1, _ = drift_rhs(10, 0.01, op_norm=1.0)
-        raw3, _ = drift_rhs(10, 0.01, op_norm=3.0)
-        assert raw3 == pytest.approx(3.0 * raw1)
 
     def test_negative_L_rejected(self):
         with pytest.raises(ValueError):

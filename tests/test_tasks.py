@@ -23,10 +23,9 @@ from qiprune.tasks import (
     run_vqe,
     train_classifier,
     vqe_energy,
-    z0_diagonal,
-    z0_expectation,
+    z0_observable,
 )
-from oracles import checkpointed_expectations_and_grads
+from oracles import checkpointed_expectations_and_grads, z0_expectation
 
 
 def write_idx_files(tmp_path, images: np.ndarray, labels: np.ndarray):
@@ -206,9 +205,9 @@ IDENTITY = build_ansatz(1, 1, centers=np.zeros((1, 1, 3)))
 
 
 class TestClassifierEvaluation:
-    def test_z0_diagonal(self):
-        np.testing.assert_array_equal(z0_diagonal(1), [1, -1])
-        np.testing.assert_array_equal(z0_diagonal(2), [1, 1, -1, -1])
+    def test_z0_observable(self):
+        np.testing.assert_array_equal(z0_observable(1), [1, -1])
+        np.testing.assert_array_equal(z0_observable(2), [1, 1, -1, -1])
 
     def _toy(self, labels):
         states = np.array([[1, 0], [0, 1]], dtype=complex)
@@ -270,7 +269,7 @@ class TestParameterShift:
         rng = np.random.default_rng(5)
         states = np.array([random_state(2, rng) for _ in range(3)])
 
-        values, grads, final = _expectations_and_grads(circ.members, states, lambda phi: z0_diagonal(2) * phi)
+        values, grads, final = _expectations_and_grads(circ.members, states, z0_observable(2))
         np.testing.assert_allclose(values, z0_expectation(run(circ, states)), atol=1e-12)
         np.testing.assert_allclose(final, run(circ, states), atol=1e-12)
 
@@ -297,7 +296,7 @@ class TestParameterShift:
         rng = np.random.default_rng([n, depth, batch])
         states = np.array([random_state(n, rng) for _ in range(batch)])
         values, grads, final = _expectations_and_grads(
-            circ.members, states, lambda phi: z0_diagonal(n) * phi
+            circ.members, states, z0_observable(n)
         )
         want_values, want_grads, rot_positions, want_final = checkpointed_expectations_and_grads(
             circ, states, z0_expectation
@@ -312,7 +311,7 @@ class TestParameterShift:
         ham = build_tfim(4).hamiltonian
         circ = build_ansatz(4, 2, sigma=0.2, seed=3)
         state = random_state(4, np.random.default_rng(8))[None]
-        values, grads, final = _expectations_and_grads(circ.members, state, lambda phi: phi @ ham.T)
+        values, grads, final = _expectations_and_grads(circ.members, state, ham)
         want_values, want_grads, rot_positions, want_final = checkpointed_expectations_and_grads(
             circ, state, lambda phi: np.real(np.einsum("...i,ij,...j->...", np.conj(phi), ham, phi))
         )
@@ -348,7 +347,7 @@ class TestParameterShift:
         monkeypatch.setattr(qiprune.circuit, "compile_gate", counted_compile)
         circ = build_ansatz(4, 6, sigma=0.0, seed=0)
         states = generate_bas(4).states
-        _expectations_and_grads(circ.members, states, lambda phi: z0_diagonal(4) * phi)
+        _expectations_and_grads(circ.members, states, z0_observable(4))
         n_blocks = circ.n_rot // BLOCK_SIZE
         n_cnot = len(circ.gates) - circ.n_rot
         assert len(calls) == 5 * n_blocks + 2 * n_cnot == 168
@@ -468,7 +467,7 @@ class TestRunVqe:
         circ = build_ansatz(2, 1, sigma=0.0, seed=5)
         res = run_vqe(spec, circ, iters=0, lr=0.1)
         assert len(res.energies) == 1
-        assert res.energies[0] == pytest.approx(vqe_energy(circ, spec), abs=1e-12)
+        assert res.energies[0] == pytest.approx(vqe_energy(circ, spec.hamiltonian), abs=1e-12)
         assert res.trained == circ
         assert res.snapshots.shape[0] == 1
 
@@ -485,7 +484,7 @@ class TestRunVqe:
         spec = build_tfim(4)
         res = run_vqe(spec, build_ansatz(4, 2, seed=0), iters=6, lr=50.0, max_backtracks=2)
         assert np.all(np.diff(res.energies) <= 1e-12)
-        assert res.energies[-1] == pytest.approx(vqe_energy(res.trained, spec), abs=1e-12)
+        assert res.energies[-1] == pytest.approx(vqe_energy(res.trained, spec.hamiltonian), abs=1e-12)
 
     def test_variational_lower_bound(self):
         spec = build_tfim(4)
@@ -530,9 +529,24 @@ class TestRunVqe:
     def test_normalized_energy(self):
         spec = build_tfim(2)
         circ = build_ansatz(2, 1, sigma=0.0, seed=10)
-        raw = vqe_energy(circ, spec)
-        norm = vqe_energy(circ, spec, normalized=True)
-        assert norm == pytest.approx(raw / operator_norm(spec.hamiltonian), rel=1e-9)
+        norm = operator_norm(spec.hamiltonian)
+        raw = vqe_energy(circ, spec.hamiltonian)
+        assert vqe_energy(circ, spec.hamiltonian / norm) == pytest.approx(raw / norm, rel=1e-9)
+
+    def test_energy_against_local_formula(self):
+        spec = build_tfim(3)
+        circ = build_ansatz(3, 1, sigma=0.1, seed=12)
+        out = run(circ, np.eye(8, dtype=complex)[0])
+        assert vqe_energy(circ, spec.hamiltonian) == pytest.approx(
+            np.vdot(out, spec.hamiltonian @ out).real, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("hamiltonian", [build_tfim(3).hamiltonian, np.ones(1), np.ones(8)])
+    def test_wrong_size_hamiltonian_rejected(self, hamiltonian):
+        # a length-1 diagonal would otherwise broadcast over any state
+        circ = build_ansatz(2, 1, sigma=0.0, seed=10)
+        with pytest.raises(ValueError, match=rf"shape \({len(hamiltonian)},.*state length 4"):
+            vqe_energy(circ, hamiltonian)
 
 
 class TestBuildEnsemble:
