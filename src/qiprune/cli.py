@@ -5,6 +5,17 @@ determined by a RunConfig (JSON file and/or flags); the config hash is
 recorded in all outputs and re-running a config reproduces them
 byte-identically. Exit codes: 0 ok, 1 verification failure, 2 usage or
 config error.
+
+`prepare_task` trains the baseline once per seed and fixes the task's
+inputs, the ensemble's pool together with the metric's inputs, with the
+rows of the ensemble and of the metric in them, and the observable with
+its checked norm. A grid point makes one `circuit.block_walk` per circuit
+over those inputs. The baseline at each sigma is walked and scored once
+(`pruner.score`, memoised on the context), since only the decision
+depends on delta; each point then runs `pruner.decide`, walks its pruned
+circuit, and reads the metric and `pruner.certify_outputs` off both
+circuits' outputs by row. A 2x4 sweep makes 12 walks: 4 baselines and 8
+pruned circuits.
 """
 
 from __future__ import annotations
@@ -17,29 +28,29 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .circuit import block_centers, build_ansatz
-from .linalg import MAX_QUBITS, operator_norm
-from .pruner import MODES, certify, prune
+from .circuit import block_centers, build_ansatz, run_fused
+from .linalg import MAX_QUBITS, expectation, operator_norm
+from .pruner import MODES, Score, certify_outputs, decide, observable_norm, score
 from .qalgebra import DeformationParams
 from .qmetric import EPSILON_RULES, QGeometry, build_geometry, calibrate_epsilon
 from .tasks import (
     EncodedDataset,
+    accuracy,
     build_ensemble,
     build_tfim,
     dataset_to_json,
-    evaluate_classifier,
     generate_bas,
     load_idx,
     run_vqe,
     train_classifier,
-    vqe_energy,
     z0_observable,
+    zero_state,
 )
 from .verify import check_all, regress_tables, results_to_json
 
@@ -184,14 +195,33 @@ FIELD_KINDS = {name: _field_kind(hint) for name, hint in get_type_hints(RunConfi
 
 @dataclass(frozen=True)
 class TaskContext:
-    """Trained baseline, task ensemble and observable (Z0's diagonal, or H / ||H||_op)."""
+    """Trained baseline, task inputs and observable (Z0's diagonal, or H / ||H||_op).
+
+    `inputs` holds the states a grid point runs: the pool the ensemble was
+    drawn from and the metric's inputs, which for classification are both
+    the validation states, and for VQE the trajectory snapshots, then
+    |0...0>. `build_ensemble` checked the pool; `ensemble_rows` and
+    `metric_rows` index `inputs`.
+    `op_norm` is the checked observable's norm. `scores` memoises, per
+    sigma, the baseline's `pruner.Score` over `inputs`; the first grid
+    point at a sigma fills it, whatever the order of the points.
+    """
 
     config: RunConfig
     data: EncodedDataset | None
     trained_centers: np.ndarray
-    ensemble_states: np.ndarray
+    inputs: np.ndarray
+    ensemble_rows: np.ndarray
+    metric_rows: np.ndarray
     observable: np.ndarray
+    op_norm: float
     metric_name: str
+    scores: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def ensemble_states(self) -> np.ndarray:
+        """The task ensemble, (M, dim), repeats included."""
+        return self.inputs[self.ensemble_rows]
 
 
 def _resolve_idx_paths(config: RunConfig) -> tuple[Path, Path]:
@@ -218,7 +248,8 @@ def load_dataset(config: RunConfig) -> EncodedDataset:
 
 
 def prepare_task(config: RunConfig) -> TaskContext:
-    """Load or generate the dataset, train the baseline centers, build the ensemble."""
+    """Load or generate the dataset, train the baseline centers, build the
+    ensemble, and fix the task's inputs and observable (checked and normed once)."""
     info = TASK_INFO[config.task]
     n = config.n_qubits
     base = build_ansatz(n, config.depth, centers=None, sigma=0.0, seed=config.seed)
@@ -234,49 +265,65 @@ def prepare_task(config: RunConfig) -> TaskContext:
             max_train_samples=config.max_train_samples,
         )
         ensemble = build_ensemble(data, M=config.M, seed=config.seed)
-        return TaskContext(
-            config=config,
-            data=data,
-            trained_centers=block_centers(trained),
-            ensemble_states=ensemble.states,
-            observable=z0_observable(n),
-            metric_name="accuracy_pct",
-        )
-    spec = build_tfim(n, j=config.tfim_j, g=config.tfim_g)
-    vqe = run_vqe(spec, base, iters=config.vqe_iters, lr=config.vqe_lr)
-    ensemble = build_ensemble(vqe, M=config.M, seed=config.seed)
+        # the ensemble's pool is the validation split, the metric's inputs
+        inputs, metric_rows = ensemble.pool, np.arange(len(ensemble.pool))
+        observable = z0_observable(n)
+        metric_name = "accuracy_pct"
+    else:
+        data = None
+        spec = build_tfim(n, j=config.tfim_j, g=config.tfim_g)
+        vqe = run_vqe(spec, base, iters=config.vqe_iters, lr=config.vqe_lr)
+        trained = vqe.trained
+        ensemble = build_ensemble(vqe, M=config.M, seed=config.seed)
+        # the trajectory snapshots, then |0...0>, the metric's input
+        inputs = np.concatenate([ensemble.pool, zero_state(n)[None]])
+        metric_rows = np.array([len(ensemble.pool)])
+        observable = spec.hamiltonian / operator_norm(spec.hamiltonian)
+        metric_name = "energy_normalized"
+    for arr in (inputs, ensemble.rows, metric_rows):
+        arr.setflags(write=False)
     return TaskContext(
         config=config,
-        data=None,
-        trained_centers=block_centers(vqe.trained),
-        ensemble_states=ensemble.states,
-        observable=spec.hamiltonian / operator_norm(spec.hamiltonian),
-        metric_name="energy_normalized",
+        data=data,
+        trained_centers=block_centers(trained),
+        inputs=inputs,
+        ensemble_rows=ensemble.rows,
+        metric_rows=metric_rows,
+        observable=observable,
+        op_norm=observable_norm(observable, 1 << n),
+        metric_name=metric_name,
     )
+
+
+def _baseline_score(ctx: TaskContext, config: RunConfig) -> Score:
+    """The baseline at config.sigma and its score over the task inputs, memoised per sigma."""
+    sigma = config.sigma
+    if sigma not in ctx.scores:
+        baseline = build_ansatz(config.n_qubits, config.depth, centers=ctx.trained_centers, sigma=sigma, seed=config.seed)
+        ctx.scores[sigma] = score(baseline, ctx.inputs, config.geometry, config.mode, rows=ctx.ensemble_rows)
+    return ctx.scores[sigma]
+
+
+def _task_metric(ctx: TaskContext, outputs: np.ndarray) -> float:
+    """Validation accuracy in percent, or the normalized energy, from a
+    circuit's outputs of the task inputs."""
+    values = expectation(outputs[ctx.metric_rows], ctx.observable)
+    if ctx.data is not None:
+        return 100.0 * accuracy(values, ctx.data.labels[ctx.data.val_idx])
+    return float(values[0])
 
 
 def run_grid_point(ctx: TaskContext, delta: float, sigma: float) -> dict:
     """Prune one (delta, sigma) point against the shared baseline; returns the
-    CSV row plus the full report and certificate documents."""
+    CSV row plus the full report and certificate documents. The baseline's
+    score comes from `ctx.scores` (see the module docstring)."""
     config = dc_replace(ctx.config, delta=delta, sigma=sigma)
-    n = config.n_qubits
-    baseline = build_ansatz(n, config.depth, centers=ctx.trained_centers, sigma=sigma, seed=config.seed)
-    geo = config.geometry
-    tol = calibrate_epsilon(delta, geo, rule=config.epsilon_rule)
-    pruned, report = prune(
-        baseline,
-        ctx.ensemble_states,
-        geo,
-        tol,
-        mode=config.mode,
-        max_replace_per_group=config.max_replace_per_group,
-    )
-    if ctx.data is not None:
-        m_base = 100.0 * evaluate_classifier(baseline, ctx.data)
-        m_pruned = 100.0 * evaluate_classifier(pruned, ctx.data)
-    else:
-        m_base = vqe_energy(baseline, ctx.observable)
-        m_pruned = vqe_energy(pruned, ctx.observable)
+    scored = _baseline_score(ctx, config)
+    tol = calibrate_epsilon(delta, config.geometry, rule=config.epsilon_rule)
+    pruned, report = decide(scored, tol, config.max_replace_per_group)
+    out_pruned = run_fused(pruned, ctx.inputs)
+    m_base = _task_metric(ctx, scored.outputs)
+    m_pruned = _task_metric(ctx, out_pruned)
     report = dc_replace(
         report,
         metric_name=ctx.metric_name,
@@ -286,7 +333,8 @@ def run_grid_point(ctx: TaskContext, delta: float, sigma: float) -> dict:
         seed=config.seed,
         config_hash=config.hash(),
     )
-    cert = certify(report, baseline, pruned, ctx.ensemble_states, ctx.observable)
+    rows = ctx.ensemble_rows
+    cert = certify_outputs(report, scored.outputs[rows], out_pruned[rows], ctx.observable, ctx.op_norm)
 
     doc = report.to_json_dict()
     row = {"dataset": config.task, "delta": delta, "sigma": sigma}

@@ -52,12 +52,19 @@ class EncodedDataset:
 
 @dataclass(frozen=True)
 class TaskEnsemble:
-    """Task-conditioned state ensemble used for redundancy decisions."""
+    """Task-conditioned state ensemble used for redundancy decisions: the
+    checked pool it was drawn from and the pool row of each of its M states."""
 
-    states: np.ndarray
+    pool: np.ndarray
+    rows: np.ndarray
     M: int
     source: str
     with_replacement: bool
+
+    @property
+    def states(self) -> np.ndarray:
+        """The M ensemble states, (M, dim), repeats included."""
+        return self.pool[self.rows]
 
 
 @dataclass(frozen=True)
@@ -251,9 +258,13 @@ def evaluate_classifier(circuit: Circuit, data: EncodedDataset) -> float:
     sel = data.val_idx
     if len(sel) == 0:
         raise ValueError("cannot evaluate on an empty validation split")
-    m = margins(circuit, data.states[sel])
-    pred = np.where(m >= 0.0, 1, -1)
-    return float(np.mean(pred == data.labels[sel]))
+    return accuracy(margins(circuit, data.states[sel]), data.labels[sel])
+
+
+def accuracy(margins: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of margins whose sign equals their +-1 label; a zero margin predicts +1."""
+    pred = np.where(margins >= 0.0, 1, -1)
+    return float(np.mean(pred == labels))
 
 
 def _check_at_least(name: str, value, low: int) -> None:
@@ -272,12 +283,15 @@ def _shared_members(centers: np.ndarray) -> np.ndarray:
     return np.broadcast_to(centers[:, :, None, :], centers.shape[:2] + (BLOCK_SIZE, 3))
 
 
-def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observable: np.ndarray):
+def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observable: np.ndarray, final=None):
     """Per-sample expectations <O> and their gradients with respect to the block centers.
 
     `members` holds the member angles in `build_ansatz`'s layout, shape
     (n_qubits, depth, BLOCK_SIZE, 3); `observable` is O in either
-    `linalg.apply_observable` form. Adjoint sweep (Jones & Gacon, arXiv:2009.02823) on one
+    `linalg.apply_observable` form; `final`, when given, is the forward
+    walk's output of `states` (the caller walked these members already),
+    and the forward walk is skipped.
+    Adjoint sweep (Jones & Gacon, arXiv:2009.02823) on one
     product matrix B = R_4 ... R_0 per block: `block_walk` applies each B and
     CNOT ring forward, then walks psi and lambda = O psi back as one stack
     with every B^dag (a CNOT is its own inverse). Entering a block on the way
@@ -297,7 +311,8 @@ def _expectations_and_grads(members: np.ndarray, states: np.ndarray, observable:
     for s in range(1, BLOCK_SIZE):
         dprod = mats[:, :, s] @ dprod + derivs[:, :, :, s] @ prod
         prod = mats[:, :, s] @ prod
-    final = block_walk(prod, states)
+    if final is None:
+        final = block_walk(prod, states)
     values = expectation(final, observable)
     lam = apply_observable(final, observable)
     grads = np.zeros((n, depth, 3) + states.shape[:-1])
@@ -429,9 +444,12 @@ def run_vqe(
     )
     energies: list[float] = []
     snaps: list[np.ndarray] = []
+    # the output of `centers`: the accepted line-search walk feeds the next
+    # gradient's forward pass and the final energy, so no walk repeats
+    out = output_at(centers)
     for t in range(iters):
         e, grads, final = _expectations_and_grads(
-            _shared_members(centers), state0[None], ham
+            _shared_members(centers), state0[None], ham, final=out[None]
         )
         if not np.isfinite(e[0]):
             raise RuntimeError("VQE diverged: non-finite energy")
@@ -442,11 +460,11 @@ def run_vqe(
         step = lr
         for _ in range(max_backtracks + 1):
             trial = centers - step * direction
-            if expectation(output_at(trial), ham) <= energies[-1] + 1e-12:
-                centers = trial
+            trial_out = output_at(trial)
+            if expectation(trial_out, ham) <= energies[-1] + 1e-12:
+                centers, out = trial, trial_out
                 break
             step *= 0.5
-    out = output_at(centers)
     energies.append(float(expectation(out, ham)))
     if not snaps:
         snaps.append(out)
@@ -481,6 +499,4 @@ def build_ensemble(source, M: int = 50, seed: int = 0) -> TaskEnsemble:
     with_replacement = pool.shape[0] < M
     rng = np.random.default_rng(seed)
     idx = rng.choice(pool.shape[0], size=M, replace=with_replacement)
-    return TaskEnsemble(
-        states=pool[idx], M=M, source=src, with_replacement=bool(with_replacement)
-    )
+    return TaskEnsemble(pool=pool, rows=idx, M=M, source=src, with_replacement=bool(with_replacement))

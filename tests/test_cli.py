@@ -1,9 +1,10 @@
 import csv
+import itertools
 import json
 import math
 import struct
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,11 @@ from qiprune.cli import (
     build_parser,
     main,
 )
+from qiprune.circuit import build_ansatz
+from qiprune.pruner import MODES, certify, prune
 from qiprune.qalgebra import DeformationParams
+from qiprune.qmetric import calibrate_epsilon
+from qiprune.tasks import evaluate_classifier, vqe_energy
 
 
 @pytest.fixture
@@ -466,25 +471,111 @@ def test_task_context_and_grid_point_report_are_frozen():
     [("bas", {"train_epochs": 0}, (16,)), ("tfim", {"vqe_iters": 2}, (16, 16))],
 )
 def test_grid_point_norms_the_prepared_observable_once(monkeypatch, task, overrides, form):
-    # prepare_task fixes the task observable (the Z0 diagonal, or H / ||H||_op);
-    # a grid point norms it once, in certify, and the VQE metric is its energy
+    # prepare_task fixes the task observable (the Z0 diagonal, or H / ||H||_op)
+    # and checks and norms it once; a grid point reads the norm off the context
     from qiprune.linalg import operator_norm as norm
+    from qiprune.pruner import observable_norm as checked_norm
 
-    ctx = cli.prepare_task(RunConfig(task=task, depth=1, M=4, **overrides))
-    assert ctx.observable.shape == form
-    seen = []
+    seen, checked = [], []
 
     def counted(op):
-        seen.append(np.shape(op))
+        seen.append(op)
         return norm(op)
 
-    # every package module that binds the norm, as perfbench's tracer finds them
+    def counted_check(op, dim):
+        checked.append(np.shape(op))
+        return checked_norm(op, dim)
+
+    # every package module that binds either, as perfbench's tracer finds them
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qiprune" and getattr(module, "operator_norm", None) is norm:
-            monkeypatch.setattr(module, "operator_norm", counted)
+        if name.split(".")[0] == "qiprune":
+            for attr, original, wrapper in (("operator_norm", norm, counted), ("observable_norm", checked_norm, counted_check)):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    ctx = cli.prepare_task(RunConfig(task=task, depth=1, M=4, **overrides))
+    assert ctx.observable.shape == form
+    # tfim also norms H, to normalize it, before it norms H / ||H||_op
+    assert sum(op is ctx.observable for op in seen) == 1 and checked == [form]
+    seen.clear()
+    checked.clear()
     result = cli.run_grid_point(ctx, 0.02, 0.003)
-    assert seen == [form]
-    assert result["certificate"].op_norm == pytest.approx(1.0, abs=1e-12)
+    assert seen == [] and checked == []
+    assert result["certificate"].op_norm == ctx.op_norm == norm(ctx.observable)
+    assert ctx.op_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def _composed_grid_point(ctx, delta, sigma):
+    """A grid point as `prune` + `certify` + the task metric, each walking its
+    own circuits over the full ensemble or the metric's inputs."""
+    config = replace(ctx.config, delta=delta, sigma=sigma)
+    baseline = build_ansatz(config.n_qubits, config.depth, centers=ctx.trained_centers, sigma=sigma, seed=config.seed)
+    tol = calibrate_epsilon(delta, config.geometry, rule=config.epsilon_rule)
+    pruned, report = prune(
+        baseline, ctx.ensemble_states, config.geometry, tol, mode=config.mode,
+        max_replace_per_group=config.max_replace_per_group,
+    )
+    if ctx.data is not None:
+        metrics = [100.0 * evaluate_classifier(c, ctx.data) for c in (baseline, pruned)]
+    else:
+        metrics = [vqe_energy(c, ctx.observable) for c in (baseline, pruned)]
+    return report, metrics, certify(report, baseline, pruned, ctx.ensemble_states, ctx.observable)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "task, overrides",
+    [
+        ("bas", {"depth": 2, "train_epochs": 1}),
+        ("tfim", {"depth": 2, "vqe_iters": 3}),
+        # 8 validation states drawn 12 times: the ensemble repeats states
+        ("mnist49", {"depth": 1, "train_epochs": 0}),
+    ],
+)
+def test_grid_point_equals_prune_certify_and_metric(tmp_path, task, overrides, mode):
+    write_synthetic_idx_tree(tmp_path, "mnist", (4, 9))
+    ctx = cli.prepare_task(RunConfig(task=task, M=12, mode=mode, data_dir=str(tmp_path), **overrides))
+    for delta, sigma in itertools.product(cli.DEFAULT_DELTAS, (0.003, 0.01)):
+        got = cli.run_grid_point(ctx, delta, sigma)
+        report, metrics, cert = _composed_grid_point(ctx, delta, sigma)
+        for name in ("replaced", "kept", "L", "dq_values", "comparisons", "violations"):
+            assert getattr(got["report"], name) == getattr(report, name), name
+        assert [got["report"].metric_base, got["report"].metric_pruned] == pytest.approx(metrics, abs=1e-12)
+        got_cert, want_cert = got["certificate"].to_json_dict(), cert.to_json_dict()
+        assert got_cert.keys() == want_cert.keys() and got_cert["passed"] == want_cert["passed"]
+        for name, value in want_cert.items():
+            assert got_cert[name] == pytest.approx(value, abs=1e-12), name
+
+
+def test_grid_reports_do_not_depend_on_point_order(tmp_path, monkeypatch):
+    # each sigma's baseline is walked and scored once, by whichever point
+    # comes first; every point then walks only its pruned circuit
+    import qiprune.circuit
+
+    walk, calls = qiprune.circuit.block_walk, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qiprune" and getattr(module, "block_walk", None) is walk:
+            monkeypatch.setattr(module, "block_walk", counted)
+    grid = list(itertools.product(cli.DEFAULT_DELTAS, cli.DEFAULT_SIGMAS))
+    orders = {
+        "delta_first": grid,
+        "sigma_first": sorted(grid, key=lambda point: point[::-1]),
+        "reversed": grid[::-1],
+    }
+    reports = {}
+    for label, points in orders.items():
+        ctx = cli.prepare_task(RunConfig(task="bas", depth=2, M=12, train_epochs=1))
+        calls.clear()
+        for delta, sigma in points:
+            cli.write_report_json(tmp_path / label / f"{delta}_{sigma}.json", cli.run_grid_point(ctx, delta, sigma))
+        assert len(calls) == len(cli.DEFAULT_SIGMAS) + len(grid) == 12
+        reports[label] = {path.name: path.read_bytes() for path in (tmp_path / label).iterdir()}
+    assert len(reports["delta_first"]) == len(grid)
+    assert reports["delta_first"] == reports["sigma_first"] == reports["reversed"]
 
 
 def _benchmark_workloads():

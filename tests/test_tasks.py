@@ -6,11 +6,22 @@ import struct
 import numpy as np
 import pytest
 
-from qiprune.circuit import BLOCK_SIZE, ROT, Circuit, build_ansatz, run
-from qiprune.linalg import operator_norm, random_state
+from qiprune.circuit import (
+    BLOCK_SIZE,
+    ROT,
+    Circuit,
+    block_centers,
+    block_products,
+    block_walk,
+    build_ansatz,
+    rot_matrix,
+    run,
+)
+from qiprune.linalg import expectation, operator_norm, random_state
 from qiprune.tasks import (
     EncodedDataset,
     _expectations_and_grads,
+    _shared_members,
     build_ensemble,
     build_tfim,
     dataset_to_json,
@@ -24,6 +35,7 @@ from qiprune.tasks import (
     train_classifier,
     vqe_energy,
     z0_observable,
+    zero_state,
 )
 from oracles import checkpointed_expectations_and_grads, z0_expectation
 
@@ -461,6 +473,32 @@ class TestTfim:
             build_tfim(1)
 
 
+def vqe_walking_every_step(spec, circuit, iters, lr=0.1, max_backtracks=10):
+    """(energies, snapshots) of `run_vqe` with a snapshot per iteration, where
+    every gradient and the final energy walk the circuit afresh: the same
+    arithmetic on the same block matrices, so the same bits."""
+    ham, state0 = spec.hamiltonian, zero_state(circuit.n_qubits)
+    centers = block_centers(circuit).copy()
+
+    def output_at(c):
+        return block_walk(block_products(rot_matrix(*np.moveaxis(_shared_members(c), -1, 0))), state0)
+
+    energies, snaps = [], []
+    for _ in range(iters):
+        e, grads, final = _expectations_and_grads(_shared_members(centers), state0[None], ham)
+        energies.append(float(e[0]))
+        snaps.append(final[0])
+        step = lr
+        for _ in range(max_backtracks + 1):
+            trial = centers - step * grads[..., 0]
+            if expectation(output_at(trial), ham) <= energies[-1] + 1e-12:
+                centers = trial
+                break
+            step *= 0.5
+    energies.append(float(expectation(output_at(centers), ham)))
+    return tuple(energies), np.array(snaps)
+
+
 class TestRunVqe:
     def test_zero_iterations(self):
         spec = build_tfim(2)
@@ -540,6 +578,31 @@ class TestRunVqe:
         assert vqe_energy(circ, spec.hamiltonian) == pytest.approx(
             np.vdot(out, spec.hamiltonian @ out).real, abs=1e-12
         )
+
+    # at lr 1 some line searches backtrack; either way the four repeated walks
+    # (three gradient forward passes and the final energy) are 192 calls
+    @pytest.mark.parametrize("lr, walked_every_step, reused", [(0.1, 1104, 912), (1.0, 1344, 1152)])
+    def test_accepted_walk_feeds_the_next_gradient_and_the_final_energy(self, monkeypatch, lr, walked_every_step, reused):
+        import qiprune.circuit
+        import qiprune.tasks
+
+        calls = []
+        kernel = qiprune.circuit.apply_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        for module in (qiprune.circuit, qiprune.tasks):
+            monkeypatch.setattr(module, "apply_matrix", counted)
+        spec, circ = build_tfim(4), build_ansatz(4, 6)
+        energies, snapshots = vqe_walking_every_step(spec, circ, iters=4, lr=lr)
+        assert len(calls) == walked_every_step
+        calls.clear()
+        res = run_vqe(spec, circ, iters=4, lr=lr)
+        assert len(calls) == reused == walked_every_step - 4 * 48
+        assert res.energies == energies
+        np.testing.assert_array_equal(res.snapshots, snapshots)
 
     @pytest.mark.parametrize("hamiltonian", [build_tfim(3).hamiltonian, np.ones(1), np.ones(8)])
     def test_wrong_size_hamiltonian_rejected(self, hamiltonian):
