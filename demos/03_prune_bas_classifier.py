@@ -53,7 +53,7 @@ for delta in (0.01, 0.02):
         acc_p = 100 * evaluate_classifier(pruned, data)
         print(f"{delta:>6} {sigma:>6} {report.replace_pct:>9.2f} "
               f"{report.rhs_raw:>7.3f}->{report.rhs_clip:<5.3f} "
-              f"{report.dq_max_replaced:>8.4f} {acc_b:>9.2f} {acc_p:>10.2f} "
+              f"{report.dq_max_repl:>8.4f} {acc_b:>9.2f} {acc_p:>10.2f} "
               f"{str(cert.passed):>12}")
 
 print("\nEvery replaced gate satisfied d_q <= eps_q (violations are counted in")

@@ -56,7 +56,7 @@ for delta in (0.01, 0.02):
         ok = abs(e_b - e_p) <= report.rhs_raw + 1e-9 and cert.passed
         print(f"{delta:>6} {sigma:>6} {report.replace_pct:>9.2f} "
               f"{report.rhs_raw:>7.3f}->{report.rhs_clip:<5.3f} "
-              f"{report.dq_max_replaced:>8.4f} {e_b:>8.4f} {e_p:>9.4f} {str(ok):>11}")
+              f"{report.dq_max_repl:>8.4f} {e_b:>8.4f} {e_p:>9.4f} {str(ok):>11}")
 
 print("\nEnergies are reported normalized by the Hamiltonian operator norm, so")
 print("the observable drift bound applies with ||O||_op = 1. The bound is a")

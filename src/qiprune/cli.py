@@ -72,13 +72,19 @@ CSV_COLUMNS = (
 DEFAULT_DELTAS = (0.01, 0.02)
 DEFAULT_SIGMAS = (0.001, 0.003, 0.006, 0.01)
 
+#: per task: default and allowed (low, high) qubit counts (bas images are 4x4,
+#: a TFIM chain needs two sites), kind, and for IDX tasks their labels and data subdir
 TASK_INFO = {
-    "mnist49": {"n_qubits": 8, "kind": "classification", "keep_labels": (4, 9), "subdir": "mnist"},
-    "fashion_sb": {"n_qubits": 8, "kind": "classification", "keep_labels": (5, 9), "subdir": "fashion"},
-    "bas": {"n_qubits": 4, "kind": "classification"},
-    "tfim": {"n_qubits": 4, "kind": "vqe"},
+    "mnist49": {"n_qubits": 8, "qubits": (1, MAX_QUBITS), "kind": "classification",
+                "keep_labels": (4, 9), "subdir": "mnist"},
+    "fashion_sb": {"n_qubits": 8, "qubits": (1, MAX_QUBITS), "kind": "classification",
+                   "keep_labels": (5, 9), "subdir": "fashion"},
+    "bas": {"n_qubits": 4, "qubits": (4, 4), "kind": "classification"},
+    "tfim": {"n_qubits": 4, "qubits": (2, MAX_QUBITS), "kind": "vqe"},
 }
 CLASSIFICATION_TASKS = tuple(sorted(t for t, info in TASK_INFO.items() if info["kind"] == "classification"))
+#: allowed values per field, for RunConfig and the parser alike
+FIELD_CHOICES = {"task": sorted(TASK_INFO), "epsilon_rule": EPSILON_RULES, "mode": MODES}
 
 
 class ConfigError(Exception):
@@ -123,8 +129,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.task not in TASK_INFO:
-            raise ConfigError(f"unknown task {self.task!r} (expected one of {sorted(TASK_INFO)})")
+        for name, choices in FIELD_CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"unknown {name.replace('_', ' ')} {value!r} (expected one of {choices})")
         if self.sigma < 0.0:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
         if not 0.0 < self.delta < 1.0:
@@ -139,16 +147,13 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
-        if self.epsilon_rule not in EPSILON_RULES:
-            raise ConfigError(
-                f"unknown epsilon rule {self.epsilon_rule!r} (expected one of {EPSILON_RULES})"
-            )
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r} (expected one of {MODES})")
         if self.n_qubits is None:
             object.__setattr__(self, "n_qubits", TASK_INFO[self.task]["n_qubits"])
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+        low, high = TASK_INFO[self.task]["qubits"]
+        if not low <= self.n_qubits <= high:
+            raise ConfigError(f"task {self.task!r} needs n_qubits in {low}..{high}, got {self.n_qubits}")
         try:
             deformation = DeformationParams.from_noise(self.gamma, self.alpha, self.beta)
         except ValueError as exc:
@@ -481,8 +486,6 @@ def cmd_dataset(action: str, out_path: Path | None, config: RunConfig) -> int:
 
 #: RunConfig fields whose flag is not the field name in dashed form
 FLAG_NAMES = {"out_dir": "--out"}
-#: allowed values per field; RunConfig validates against the same constants
-FIELD_CHOICES = {"task": sorted(TASK_INFO), "epsilon_rule": EPSILON_RULES, "mode": MODES}
 
 
 def _load_config(args) -> RunConfig:

@@ -11,7 +11,6 @@ Hermitian 2^n x 2^n matrix or, when diagonal, its real 1-D diagonal;
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -156,18 +155,19 @@ def _basis_permutation(local: tuple[int, ...], wires: tuple[int, ...], n_qubits:
     return perm
 
 
-def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
-    """Trace distance ||phi><phi| - |psi><psi||_1 = 2 sqrt(1 - |<phi|psi>|^2).
+def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float | np.ndarray:
+    """Trace distance ||phi><phi| - |psi><psi||_1 = 2 sqrt(1 - |<phi|psi>|^2),
+    row by row along the last axis: a float for two 1-D states, an array of
+    the leading shape for batches.
 
-    Both inputs are unit-norm pure states; the overlap magnitude is clamped
-    to [0, 1] before the square root.
+    Every row is a unit-norm pure state; the overlap magnitude is clamped to
+    [0, 1] before the square root, and equal rows give exactly 0.
     """
     if phi.shape != psi.shape:
         raise ValueError(f"dimension mismatch: {phi.shape} vs {psi.shape}")
-    if phi is psi or np.array_equal(phi, psi):
-        return 0.0
-    ov = min(1.0, abs(np.vdot(phi, psi)))
-    return 2.0 * math.sqrt(max(0.0, 1.0 - ov * ov))
+    overlap = np.minimum(1.0, np.abs(np.sum(np.conj(phi) * psi, axis=-1)))
+    tds = np.where(np.all(phi == psi, axis=-1), 0.0, 2.0 * np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap)))
+    return float(tds) if tds.ndim == 0 else tds
 
 
 def apply_observable(states: np.ndarray, observable: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from .circuit import (
     run_fused,
     zyz_angles,
 )
-from .linalg import ATOL, as_ensemble, expectation, operator_norm
+from .linalg import ATOL, as_ensemble, expectation, operator_norm, pure_trace_distance
 from .qmetric import QGeometry, Tolerance, drift_rhs, reduced_distances, reduced_matrices
 
 MODES = ("reference_only", "pairwise_medoid")
@@ -56,8 +56,8 @@ class PruneReport:
     L: int
     replace_pct: float
     dq_values: dict[int, float]
-    dq_max_replaced: float
-    dq_per_state_max_replaced: float
+    dq_max_repl: float
+    dq_per_state_max_repl: float
     epsilon_q: float
     M_q: float
     rhs_raw: float
@@ -77,11 +77,8 @@ class PruneReport:
     config_hash: str | None = None
 
     def to_json_dict(self) -> dict:
-        """Every field, with the table's short names for the two replaced-gate
-        maxima and str keys for dq_values."""
+        """Every field, with str keys for dq_values."""
         doc = dict(vars(self))
-        doc["dq_max_repl"] = doc.pop("dq_max_replaced")
-        doc["dq_per_state_max_repl"] = doc.pop("dq_per_state_max_replaced")
         doc["dq_values"] = {str(k): v for k, v in sorted(self.dq_values.items())}
         return doc
 
@@ -224,8 +221,8 @@ def decide(scored: Score, tol: Tolerance, max_replace_per_group: int | None = No
         L=L,
         replace_pct=100.0 * L / circuit.n_rot,
         dq_values=dq_values,
-        dq_max_replaced=float(mean[replace].max(initial=0.0)),
-        dq_per_state_max_replaced=float(scored.worst[replace].max(initial=0.0)),
+        dq_max_repl=float(mean[replace].max(initial=0.0)),
+        dq_per_state_max_repl=float(scored.worst[replace].max(initial=0.0)),
         epsilon_q=eps,
         M_q=scored.M_q,
         rhs_raw=rhs_raw,
@@ -335,11 +332,7 @@ def certify_outputs(
     of the q used for the pruning decision. Nothing is validated here:
     `certify` is the checked entry point.
     """
-    # pure-state trace distance 2 sqrt(1 - |<a|b>|^2); bit-identical outputs give exactly 0
-    overlap = np.minimum(1.0, np.abs(np.sum(np.conj(out_a) * out_b, axis=1)))
-    tds = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - overlap * overlap))
-    tds[np.all(out_a == out_b, axis=1)] = 0.0
-    tds = tuple(float(x) for x in tds)
+    tds = tuple(float(x) for x in pure_trace_distance(out_a, out_b))
     drifts = tuple(float(x) for x in np.abs(expectation(out_a, observable) - expectation(out_b, observable)))
 
     trace_bound = min(2.0, report.rhs_raw)

@@ -421,9 +421,10 @@ def run_vqe(
     entry per iteration plus the final energy. Output states of the evolving
     circuit are snapshotted at evenly spaced iterations (at most `snapshots`
     of them) for ensemble construction. Raises ValueError for iters or
-    max_backtracks < 0 and an lr that is not positive and finite.
+    max_backtracks < 0, snapshots < 1 and an lr that is not positive and finite.
     """
     _check_at_least("iters", iters, 0)
+    _check_at_least("snapshots", snapshots, 1)
     _check_at_least("max_backtracks", max_backtracks, 0)
     _check_lr(lr)
     if spec.n_qubits != circuit.n_qubits:

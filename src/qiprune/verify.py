@@ -7,7 +7,7 @@ Measurement mode covers the claims whose general-q form does not hold
 numerically: the overlap-domination inequality and the distance symmetry are
 exact at q = 1 and merely monitored at q != 1.
 
-The three checks that compare against `scipy.linalg.expm` import scipy
+`_check_q_exp_limit` and `_nearby_unitaries` import `scipy.linalg`
 themselves, so importing the package loads numpy alone.
 """
 
@@ -264,18 +264,24 @@ def _check_overlap_domination(seed: int) -> list[CheckResult]:
     return results
 
 
-def _check_statewise_bound(seed: int) -> list[CheckResult]:
-    """Trace distance vs 2 sqrt(1 - cos^2 eps) at q = 1, premise measured per state."""
+def _nearby_unitaries(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A Haar-random 4x4 unitary u and v = u exp(i t H), for H a random
+    Hermitian of spectral norm 1 and t uniform in [0, 0.05)."""
     import scipy.linalg
 
+    u = haar_unitary(4, rng)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (h + h.conj().T) / 2.0
+    h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+    return u, u @ scipy.linalg.expm(1j * rng.uniform(0.0, 0.05) * h)
+
+
+def _check_statewise_bound(seed: int) -> list[CheckResult]:
+    """Trace distance vs 2 sqrt(1 - cos^2 eps) at q = 1, premise measured per state."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(200):
-        u = haar_unitary(4, rng)
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (h + h.conj().T) / 2.0
-        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
-        v = u @ scipy.linalg.expm(1j * rng.uniform(0.0, 0.05) * h)
+        u, v = _nearby_unitaries(rng)
         psi = random_state(2, rng)
         eps = math.acos(min(1.0, abs(np.vdot(psi, u.conj().T @ (v @ psi)))))
         td = pure_trace_distance(u @ psi, v @ psi)
@@ -284,16 +290,10 @@ def _check_statewise_bound(seed: int) -> list[CheckResult]:
 
 
 def _check_average_bound(seed: int) -> list[CheckResult]:
-    import scipy.linalg
-
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(50):
-        u = haar_unitary(4, rng)
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (h + h.conj().T) / 2.0
-        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
-        v = u @ scipy.linalg.expm(1j * rng.uniform(0.0, 0.05) * h)
+        u, v = _nearby_unitaries(rng)
         obs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         obs = (obs + obs.conj().T) / 2.0
         states = np.array([random_state(2, rng) for _ in range(20)])

@@ -8,9 +8,11 @@ genuinely different computation paths. The one exception is
 package's adjoint gradients: it shares the package's kernel but walks the
 circuit gate by gate, while the package walks one product per block, so
 final states, values and gradients are compared at 1e-12.
+`write_synthetic_idx_tree` writes the IDX fixture files the CLI tests read.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -142,3 +144,17 @@ def per_member_dq_values(circuit, states, geo, mode) -> dict[int, float]:
             out.update((gid, dist(ref, gid)) for gid in mats if gid != ref)
         cur = apply_matrix(cur, compile_gate(g), g.wires(), n)
     return out
+
+
+def write_synthetic_idx_tree(root, subdir, classes, n=40, seed=0):
+    """Random 28x28 images with labels alternating over `classes`, as the
+    t10k IDX pair under root/subdir."""
+    rng = np.random.default_rng(seed)
+    d = root / subdir
+    d.mkdir(parents=True, exist_ok=True)
+    images = rng.integers(1, 255, size=(n, 28, 28), dtype=np.uint8)
+    labels = np.array([classes[i % 2] for i in range(n)], dtype=np.uint8)
+    (d / "t10k-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 2051, n, 28, 28) + images.tobytes()
+    )
+    (d / "t10k-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, n) + labels.tobytes())

@@ -9,14 +9,13 @@ budgets are kept small for the same reason.
 """
 
 import math
-import struct
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import circuit_unitary
+from oracles import circuit_unitary, write_synthetic_idx_tree
 
 from qiprune.circuit import build_ansatz, compile_gate, run
 from qiprune.cli import RunConfig, prepare_task, run_grid_point
@@ -41,23 +40,11 @@ def _criterion(name: str, failures: list) -> None:
     assert not failures, f"{name}: {failures[:5]}"
 
 
-def _write_idx_tree(root, subdir, classes, n=40, seed=0):
-    rng = np.random.default_rng(seed)
-    d = root / subdir
-    d.mkdir(parents=True, exist_ok=True)
-    images = rng.integers(1, 255, size=(n, 28, 28), dtype=np.uint8)
-    labels = np.array([classes[i % 2] for i in range(n)], dtype=np.uint8)
-    (d / "t10k-images-idx3-ubyte").write_bytes(
-        struct.pack(">IIII", 2051, n, 28, 28) + images.tobytes()
-    )
-    (d / "t10k-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, n) + labels.tobytes())
-
-
 @pytest.fixture(scope="session")
 def sweep_results(tmp_path_factory):
     data_root = tmp_path_factory.mktemp("idx_data")
-    _write_idx_tree(data_root, "mnist", (4, 9))
-    _write_idx_tree(data_root, "fashion", (5, 9))
+    write_synthetic_idx_tree(data_root, "mnist", (4, 9))
+    write_synthetic_idx_tree(data_root, "fashion", (5, 9))
 
     budgets = {
         "bas": {"train_epochs": 2, "train_lr": 0.2},
@@ -154,7 +141,7 @@ def test_monotone_trends(sweep_results):
             pcts = [g["report"].replace_pct for g in group]
             if any(b > a + 1e-12 for a, b in zip(pcts, pcts[1:])):
                 failures.append(f"{task}/seed{seed}/d{delta}: replace_pct not non-increasing {pcts}")
-            dq_maxes = [g["report"].dq_max_replaced for g in group]
+            dq_maxes = [g["report"].dq_max_repl for g in group]
             eps = group[0]["report"].epsilon_q
             if any(d > eps for d in dq_maxes):
                 failures.append(f"{task}/seed{seed}/d{delta}: dq_max exceeds epsilon")

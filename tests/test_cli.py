@@ -2,13 +2,14 @@ import csv
 import itertools
 import json
 import math
-import struct
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from oracles import write_synthetic_idx_tree
 
 import qiprune.cli as cli
 import qiprune.verify as verify
@@ -39,18 +40,6 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def write_synthetic_idx_tree(root, subdir, classes, n=40, seed=0):
-    rng = np.random.default_rng(seed)
-    d = root / subdir
-    d.mkdir(parents=True)
-    images = rng.integers(1, 255, size=(n, 28, 28), dtype=np.uint8)
-    labels = np.array([classes[i % 2] for i in range(n)], dtype=np.uint8)
-    (d / "t10k-images-idx3-ubyte").write_bytes(
-        struct.pack(">IIII", 2051, n, 28, 28) + images.tobytes()
-    )
-    (d / "t10k-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, n) + labels.tobytes())
-
-
 class TestRunConfig:
     def test_task_defaults(self):
         assert RunConfig(task="mnist49").n_qubits == 8
@@ -71,7 +60,7 @@ class TestRunConfig:
         assert a.hash() != c.hash()
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="task"):
+        with pytest.raises(ConfigError, match=r"unknown task 'nope' \(expected one of \['bas', "):
             RunConfig(task="nope")
         with pytest.raises(ConfigError, match="sigma"):
             RunConfig(task="bas", sigma=-1.0)
@@ -81,8 +70,8 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "knob,match",
         [
-            ({"mode": "nope"}, "mode"),
-            ({"epsilon_rule": "nope"}, "epsilon rule"),
+            ({"mode": "nope"}, r"unknown mode 'nope' \(expected one of \('reference_only', "),
+            ({"epsilon_rule": "nope"}, r"unknown epsilon rule 'nope' \(expected one of \("),
             ({"max_replace_per_group": -2}, "max_replace_per_group"),
             ({"max_replace_per_group": 0}, "max_replace_per_group"),
             ({"max_replace_per_group": 2.5}, "max_replace_per_group"),
@@ -176,6 +165,18 @@ class TestRunConfig:
     def test_out_of_range_n_qubits_is_usage_error_before_training(self, n_qubits, no_training, capsys):
         assert main(["prune", "--task", "tfim", "--depth", "1", "--n-qubits", n_qubits]) == 2
         assert f"n_qubits must be in 1..10, got {n_qubits}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, n_qubits, message",
+        [("bas", "2", "4..4, got 2"), ("bas", "8", "4..4, got 8"), ("tfim", "1", "2..10, got 1")],
+        ids=["bas_2", "bas_8", "tfim_1"],
+    )
+    def test_qubit_count_outside_task_range_is_usage_error_before_training(
+        self, task, n_qubits, message, no_training, capsys
+    ):
+        # bas images are 4x4 (16 amplitudes); a TFIM chain needs two sites
+        assert main(["prune", "--task", task, "--depth", "1", "--n-qubits", n_qubits]) == 2
+        assert f"task {task!r} needs n_qubits in {message}" in capsys.readouterr().err
 
     def test_hash_pinned(self):
         # every report records config_hash; it must not move when RunConfig code does

@@ -170,6 +170,18 @@ class TestPureTraceDistance:
         with pytest.raises(ValueError, match="mismatch"):
             pure_trace_distance(basis(1, 0), basis(2, 0))
 
+    def test_batches_along_the_last_axis(self):
+        rng = np.random.default_rng(3)
+        a = np.array([[random_state(2, rng) for _ in range(4)] for _ in range(3)])
+        b = np.array([[random_state(2, rng) for _ in range(4)] for _ in range(3)])
+        b[1, 2] = a[1, 2]
+        tds = pure_trace_distance(a, b)
+        assert tds.shape == (3, 4)
+        assert tds[1, 2] == 0.0
+        for i, j in np.ndindex(3, 4):
+            assert tds[i, j] == pure_trace_distance(a[i, j], b[i, j])
+        assert type(pure_trace_distance(a[0, 0], b[0, 0])) is float
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
     def test_symmetry_and_triangle_inequality(self, seed):

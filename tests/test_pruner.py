@@ -102,7 +102,7 @@ class TestPrune:
         tol = calibrate_epsilon(0.01, geo)
         pruned, report = prune(circ, ens, geo, tol)
         assert report.replace_pct == 80.0
-        assert report.dq_max_replaced == 0.0
+        assert report.dq_max_repl == 0.0
         assert report.violations == 0
         # replacement of identical gates is a no-op
         assert pruned == circ
@@ -531,10 +531,9 @@ class TestCertify:
 
 
 @pytest.mark.parametrize("n,depth,limit", [(8, 1, 80), (4, 6, 240)])
-def test_kernel_calls_per_grid_point(monkeypatch, n, depth, limit):
-    # prune's walk, two margins and certify's two runs: five passes at one
-    # kernel call per block and per CNOT; one call per gate made 240 and 720.
-    # All five walk in circuit.block_walk; tasks binds the kernel too.
+def test_kernel_calls_of_prune_margins_and_certify(monkeypatch, n, depth, limit):
+    # prune's walk, two margins and certify's two runs: five block walks at
+    # one kernel call per block and per CNOT; tasks binds the kernel too
     import qiprune.circuit
     import qiprune.tasks
 
@@ -602,6 +601,6 @@ def test_record_schemas_pinned():
     doc = report.to_json_dict()
     assert len(REPORT_KEYS) == 24 and set(doc) == REPORT_KEYS
     assert doc["dq_values"] and all(isinstance(k, str) for k in doc["dq_values"])
-    assert doc["dq_max_repl"] == report.dq_max_replaced
+    assert doc["dq_max_repl"] == report.dq_max_repl
     cert = certify(report, circ, pruned, ens, z0_observable(2))
     assert len(CERTIFICATE_KEYS) == 10 and set(cert.to_json_dict()) == CERTIFICATE_KEYS

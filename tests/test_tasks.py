@@ -403,6 +403,28 @@ class TestTrainClassifier:
         t2 = train_classifier(circ, data, epochs=2, lr=0.3, seed=7)
         assert t1 == t2
 
+    def test_sample_cap_below_split_draws_a_seeded_subset(self):
+        data = generate_bas(4)
+        circ = build_ansatz(4, 2, sigma=0.0, seed=4)
+        assert len(data.train_idx) == 28
+
+        def train(seed, cap):
+            return train_classifier(circ, data, epochs=2, lr=0.3, seed=seed, max_train_samples=cap)
+
+        capped = train(7, 10)
+        assert capped == train(7, 10)
+        assert capped != train(7, None)
+        assert capped != train(8, 10)
+
+    @pytest.mark.parametrize("cap", [28, 100])
+    def test_sample_cap_at_or_above_split_is_no_cap(self, cap):
+        data = generate_bas(4)
+        circ = build_ansatz(4, 2, sigma=0.0, seed=4)
+        capped = train_classifier(circ, data, epochs=2, lr=0.3, seed=7, max_train_samples=cap)
+        np.testing.assert_array_equal(
+            capped.members, train_classifier(circ, data, epochs=2, lr=0.3, seed=7).members
+        )
+
 
     @pytest.mark.parametrize(
         "knob, value",
@@ -548,6 +570,11 @@ class TestRunVqe:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="iters must be >= 0"):
             run_vqe(build_tfim(2), build_ansatz(2, 1, sigma=0.0, seed=5), iters=-2)
+
+    @pytest.mark.parametrize("snapshots", [0, -1])
+    def test_snapshot_budget_below_one_rejected(self, snapshots):
+        with pytest.raises(ValueError, match=f"snapshots must be >= 1, got {snapshots}"):
+            run_vqe(build_tfim(2), build_ansatz(2, 1, sigma=0.0, seed=5), iters=3, snapshots=snapshots)
 
     @pytest.mark.parametrize(
         "knobs, message",
